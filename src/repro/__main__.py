@@ -75,7 +75,6 @@ import argparse
 import contextlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from repro import BatchConfig, HarmonyConfig, HarmonySession, compare_runs
 from repro.core.report import audit_summary
@@ -88,8 +87,9 @@ from repro.errors import (
 )
 from repro.hardware import presets
 from repro.models import zoo
-from repro.perf import RunCache, RunSpec, SweepRunner
+from repro.perf import RunCache, RunSpec
 from repro.schedulers import scheme_names
+from repro.supervisor import RetryPolicy, Supervisor, Task, drain_on_signals
 from repro.tuner.search import tune
 from repro.units import GB
 from repro.validate import differential_check
@@ -124,38 +124,39 @@ def _make_supervisor(
     args: argparse.Namespace,
     cache: RunCache | None = None,
     jobs: int | None = None,
-):
-    """The durable-execution layer behind ``--journal``/``--spec-timeout``;
-    ``None`` when neither was given (commands keep their plain pool
-    paths, whose behavior predates the supervisor)."""
-    journal = getattr(args, "journal", None)
-    timeout = getattr(args, "spec_timeout", None)
-    if journal is None and timeout is None:
-        return None
-    from repro.supervisor import RetryPolicy, Supervisor
-
+) -> Supervisor:
+    """The one executor every sweep-shaped command runs through.  It
+    runs inline unless ``--jobs`` gives it more than one pending task
+    to fan out, or ``--journal``/``--spec-timeout`` ask for crash
+    isolation (:attr:`Supervisor.isolated`)."""
     return Supervisor(
         jobs=jobs if jobs is not None else _jobs(args),
         cache=cache,
         policy=RetryPolicy(
-            max_attempts=getattr(args, "max_attempts", 3), timeout=timeout
+            max_attempts=getattr(args, "max_attempts", 3),
+            timeout=getattr(args, "spec_timeout", None),
         ),
-        journal=journal,
+        journal=getattr(args, "journal", None),
         command=getattr(args, "_argv", None),
     )
 
 
-def _drain_scope(sup):
-    """Signal scope for supervised runs: the first SIGTERM/SIGINT
+def _drain_scope(sup: Supervisor):
+    """Signal scope for isolated runs: the first SIGTERM/SIGINT
     requests a graceful drain (in-flight specs settle and are
     journaled, unstarted ones are left for a resume) instead of
     killing the sweep mid-write.  A second signal interrupts as
-    usual.  No-op without a supervisor."""
-    if sup is None:
+    usual.  Plain runs keep the default signal behavior."""
+    if not sup.isolated:
         return contextlib.nullcontext()
-    from repro.supervisor import drain_on_signals
-
     return drain_on_signals(sup)
+
+
+def _print_report(sup: Supervisor) -> None:
+    """The ``supervisor:`` report, for isolated runs only — a plain
+    run's output is exactly the command's own."""
+    if sup.isolated:
+        print(sup.report.render())
 
 
 # Figure sections as top-level functions so ``figures --jobs N`` can
@@ -212,49 +213,34 @@ def _render_section(index: int) -> str:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
-    indices = range(len(_FIGURE_SECTIONS))
     sup = _make_supervisor(args)
-    if sup is not None:
-        from repro.supervisor import Task
-
-        tasks = [
-            Task(
-                key=f"figure:{title}", fn=_render_section, payload=i,
-                label=title,
-            )
-            for i, (title, _) in enumerate(_FIGURE_SECTIONS)
-        ]
-        with _drain_scope(sup):
-            rendered = sup.run_tasks(tasks, return_exceptions=True)
-        drained = [
-            title
-            for (title, _), text in zip(_FIGURE_SECTIONS, rendered)
-            if isinstance(text, DrainedError)
-        ]
-        if drained:
-            print(
-                f"supervisor: drained before rendering {', '.join(drained)}; "
-                "resume with the same journal to finish"
-            )
-            print(sup.report.render())
-            return 1
-        for text in rendered:
-            if isinstance(text, ReproError):
-                raise text
-    elif jobs > 1:
-        workers = min(jobs, len(_FIGURE_SECTIONS))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map preserves section order: output is byte-identical
-            # to the serial run no matter which section finishes first.
-            rendered = list(pool.map(_render_section, indices))
-    else:
-        rendered = [_render_section(i) for i in indices]
+    tasks = [
+        Task(key=f"figure:{title}", fn=_render_section, payload=i, label=title)
+        for i, (title, _) in enumerate(_FIGURE_SECTIONS)
+    ]
+    with _drain_scope(sup):
+        # Results come back in section order, so the output is
+        # byte-identical however many workers render it.
+        rendered = sup.run_tasks(tasks, return_exceptions=True)
+    drained = [
+        title
+        for (title, _), text in zip(_FIGURE_SECTIONS, rendered)
+        if isinstance(text, DrainedError)
+    ]
+    if drained:
+        print(
+            f"supervisor: drained before rendering {', '.join(drained)}; "
+            "resume with the same journal to finish"
+        )
+        print(sup.report.render())
+        return 1
+    for text in rendered:
+        if isinstance(text, ReproError):
+            raise text
     for (title, _), text in zip(_FIGURE_SECTIONS, rendered):
         print(f"\n=== {title} " + "=" * max(0, 60 - len(title)))
         print(text)
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(sup)
     return 0
 
 
@@ -277,17 +263,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.schedule_zoo:
         from repro.experiments import schedule_zoo
 
-        cache = _make_cache(args)
-        sup = _make_supervisor(args, cache=cache)
-        rows = schedule_zoo.run(
-            model, server, batch, jobs=_jobs(args), cache=cache,
-            supervisor=sup,
-        )
+        sup = _make_supervisor(args, cache=_make_cache(args))
+        rows = schedule_zoo.run(model, server, batch, supervisor=sup)
         print(schedule_zoo.table(rows).render())
         print()
         print(schedule_zoo.stage_memory_figure(rows))
-        if sup is not None:
-            print(sup.report.render())
+        _print_report(sup)
         return 0
     print(model.describe())
     state = model.param_bytes + model.grad_bytes + model.optimizer_bytes
@@ -306,13 +287,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     cache = _make_cache(args)
     sup = _make_supervisor(args, cache=cache)
-    if sup is not None:
-        with _drain_scope(sup):
-            outcomes = sup.run_specs(specs, return_exceptions=True)
-    else:
-        outcomes = SweepRunner(jobs=_jobs(args), cache=cache).run_all(
-            specs, return_exceptions=True
-        )
+    with _drain_scope(sup):
+        outcomes = sup.run_specs(specs, return_exceptions=True)
     results = []
     for scheme, outcome in zip(SCHEMES, outcomes):
         if isinstance(outcome, AuditError):
@@ -332,8 +308,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(audit_summary([r.audit for r in results if r.audit]).render())
     if cache is not None and args.cache_dir:
         print(f"\n{cache.describe()}")
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(sup)
     return 0
 
 
@@ -351,7 +326,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     with _drain_scope(sup):
         outcome = tune(
             model, server, batch.per_replica_batch, cache=cache,
-            jobs=_jobs(args), supervisor=sup,
+            supervisor=sup,
             profile_iterations=args.profile_iterations,
             steady_state=args.steady_state,
             checkpoints=checkpoints,
@@ -373,8 +348,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
                 f"({100 * outcome.prefix_hit_rate:.0f}% hit rate), "
                 f"{outcome.saved_iterations} iteration(s) skipped"
             )
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(sup)
     return 0
 
 
@@ -520,21 +494,23 @@ def cmd_faults(args: argparse.Namespace) -> int:
     mttfs = tuple(args.mttf) if args.mttf else (float("inf"), 8.0, 4.0, 2.5)
 
     failed: list = []
+    sup = _make_supervisor(args)
     if args.recovery:
         # MTTR x policy x scheme sweep on a fixed fault scenario.
-        rows = faults_degradation.run_recovery(
-            model=model,
-            num_gpus=args.gpus,
-            iterations=args.iterations,
-            seed=args.seed,
-            jobs=_jobs(args),
-        )
+        with _drain_scope(sup):
+            rows = faults_degradation.run_recovery(
+                model=model,
+                num_gpus=args.gpus,
+                iterations=args.iterations,
+                seed=args.seed,
+                supervisor=sup,
+            )
         print(faults_degradation.recovery_table(rows).render())
+        _print_report(sup)
         failed = [r for r in rows if not r.recovered]
         for row in failed:
             print(f"RECOVERY FAILED: {row.scheme} under {row.policy}")
     else:
-        sup = _make_supervisor(args)
         with _drain_scope(sup):
             rows = faults_degradation.run(
                 model=model,
@@ -543,12 +519,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 mttf_iters=mttfs,
                 transient_probability=args.transient_probability,
                 seed=args.seed,
-                jobs=_jobs(args),
                 supervisor=sup,
             )
         print(faults_degradation.table(rows).render())
-        if sup is not None:
-            print(sup.report.render())
+        _print_report(sup)
 
         comparisons = faults_degradation.gracefulness(rows)
         if comparisons:
@@ -630,8 +604,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile=args.profile,
     )
     print(bench.render(report))
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(sup)
     if args.out:
         bench.write_json(report, args.out)
         print(f"\nwrote {args.out}")

@@ -21,9 +21,10 @@ from repro.hardware.device import DeviceKind, DeviceSpec
 from repro.hardware.topology import Topology
 from repro.models import zoo
 from repro.models.graph import ModelGraph
-from repro.perf import RunSpec, SweepRunner
+from repro.perf import RunSpec
 from repro.schedulers import scheme_names
 from repro.schedulers.base import BatchConfig
+from repro.supervisor import Supervisor
 from repro.units import MB, TFLOP, fmt_bytes
 from repro.util.tables import Table
 
@@ -68,15 +69,14 @@ def run(
     topology: Topology | None = None,
     batch: BatchConfig | None = None,
     schemes: tuple[str, ...] | None = None,
-    jobs: int = 1,
-    cache=None,
-    supervisor=None,
+    supervisor: Supervisor | None = None,
 ) -> list[ZooRow]:
     """Run every scheme (default: the full registry) on one workload.
 
     Infeasible scheme/workload combinations become rows with
     ``feasible=False`` rather than aborting the sweep — the zoo figure
-    is a survey, not a gate.
+    is a survey, not a gate.  The runs go through ``supervisor``
+    (default: inline, uncached).
     """
     if model is None or topology is None or batch is None:
         d_model, d_topo, d_batch = default_workload()
@@ -88,12 +88,9 @@ def run(
         RunSpec(model, topology, HarmonyConfig(s, batch=batch), label=s)
         for s in schemes
     ]
-    if supervisor is not None:
-        outcomes = supervisor.run_specs(specs, return_exceptions=True)
-    else:
-        outcomes = SweepRunner(jobs=jobs, cache=cache).run_all(
-            specs, return_exceptions=True
-        )
+    outcomes = (supervisor or Supervisor()).run_specs(
+        specs, return_exceptions=True
+    )
     rows: list[ZooRow] = []
     for scheme, outcome in zip(schemes, outcomes):
         if isinstance(outcome, (ReproError, PoisonedSpecError)):

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
 from repro.faults.model import FaultPlan
+from repro.util.registry import lookup
 
 if TYPE_CHECKING:
     from repro.sim.engine import Engine
@@ -154,12 +155,7 @@ def detector_names() -> tuple[str, ...]:
 
 
 def build_detector(config: DetectorConfig):
-    cls = DETECTOR_REGISTRY.get(config.kind)
-    if cls is None:
-        raise ConfigError(
-            f"unknown detector {config.kind!r}; valid detectors: "
-            + ", ".join(detector_names())
-        )
+    cls = lookup(DETECTOR_REGISTRY, config.kind, "detector")
     if not config.resolved:
         raise ConfigError(
             "DetectorConfig must be resolved (call resolve(iteration_time)) "

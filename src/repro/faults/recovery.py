@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.faults.model import DeviceReturn
+from repro.util.registry import lookup
 
 if TYPE_CHECKING:
     from repro.faults.runner import _ResilientRun
@@ -144,10 +144,4 @@ def recovery_names() -> tuple[str, ...]:
 
 
 def build_recovery(name: str) -> RecoveryPolicy:
-    cls = RECOVERY_REGISTRY.get(name)
-    if cls is None:
-        raise ConfigError(
-            f"unknown recovery policy {name!r}; valid policies: "
-            + ", ".join(recovery_names())
-        )
-    return cls()
+    return lookup(RECOVERY_REGISTRY, name, "recovery policy")()

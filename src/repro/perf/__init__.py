@@ -17,10 +17,9 @@ this package gives that shape its economics:
   :func:`base_fingerprint`, and later runs of the same point (at any
   depth) restore the deepest shared boundary and simulate only the
   suffix — byte-identical to a cold run.
-* :mod:`repro.perf.runner` — :class:`SweepRunner`, which fans a list of
-  :class:`RunSpec` out across a ``ProcessPoolExecutor`` with
-  deterministic (submission-order) result ordering, consulting the
-  cache first.
+* :mod:`repro.perf.runner` — :class:`RunSpec`, one sweep point, and
+  the worker entry point that simulates it; sweeps of them run through
+  :meth:`repro.supervisor.Supervisor.run_specs`.
 * :mod:`repro.perf.bench` — the tracked benchmark harness behind
   ``python -m repro bench`` and the repo-root ``BENCH_sim.json``.
 """
@@ -32,14 +31,13 @@ from repro.perf.fingerprint import (
     fingerprint,
 )
 from repro.perf.incremental import CheckpointStore, Snapshot
-from repro.perf.runner import RunSpec, SweepRunner
+from repro.perf.runner import RunSpec
 
 __all__ = [
     "CheckpointStore",
     "RunCache",
     "RunSpec",
     "Snapshot",
-    "SweepRunner",
     "SCHEDULER_VERSION",
     "base_fingerprint",
     "fingerprint",

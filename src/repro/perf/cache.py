@@ -3,124 +3,59 @@
 :class:`RunCache` maps fingerprints (see
 :mod:`repro.perf.fingerprint`) to serialized run payloads — usually
 :class:`~repro.sim.result.RunResult`, but any picklable value (the
-tuner caches :class:`~repro.tuner.profiler.ProfilePoint`).
-
-Two tiers:
-
-* **memory** — always on; entries live for the process.
-* **disk** — optional, rooted at ``cache_dir`` (the CLI's
-  ``--cache-dir``, conventionally ``~/.cache/repro``); entries survive
-  across processes and are written atomically (temp file + rename) so
-  concurrent sweep workers never observe torn blobs.
-
-Every lookup stores and returns payloads through the *same* serialized
-form (``pickle.dumps`` at store, ``pickle.loads`` at hit), which is
-what makes the byte-identical guarantee testable: a hit is a fresh
-deserialization, never a shared mutable object that an earlier caller
-may have decorated (e.g. attached an audit report to).
+tuner caches :class:`~repro.tuner.profiler.ProfilePoint`).  It is a key
+schema over :class:`~repro.util.durable.BlobStore`, whose rules it
+inherits: an always-on memory tier plus an optional disk tier (the
+CLI's ``--cache-dir``, conventionally ``~/.cache/repro``) written
+atomically, torn entries deleted and counted as ``invalidations``,
+failed disk writes counted in ``write_errors`` with one warning, and
+every hit a fresh deserialization — which is what makes the
+byte-identical guarantee testable: a hit is never a shared mutable
+object an earlier caller may have decorated (e.g. attached an audit
+report to).
 
 One cache instance may be shared by concurrent callers (the job
 server hands a single instance to every tenant's supervisor): the
-memory tier and the hit/miss/store counters are guarded by a lock, and
-``get_or_run`` holds no lock around ``compute`` — two racing misses on
-the same key both compute, and the byte-identical guarantee makes the
-double store harmless (last write wins with an equal value).
+counters and memory tier are lock-guarded, and ``get_or_run`` holds no
+lock around ``compute`` — two racing misses on the same key both
+compute, and the byte-identical guarantee makes the double store
+harmless (last write wins with an equal value).
 
 Invalidation is by construction: the fingerprint already contains the
 scheduler version salt, so semantics changes miss instead of serving
-stale entries.  The ``invalidations`` counter ledgers the one remaining
-case — a disk entry that exists but fails to load (corrupt, truncated,
-or written by an incompatible Python) is deleted and treated as a miss.
-Symmetrically, ``write_errors`` counts disk-tier stores that failed
-(cache dir deleted, disk full, permissions): the cache keeps serving
-from memory, but the first failure warns once so a dead cache dir is
-not silently absorbed as a 0% hit rate across processes.
+stale entries.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
-import threading
-import warnings
 from typing import Any, Callable
 
-#: Distinguished miss marker.  ``get(key, RunCache.MISS)`` is the
-#: ambiguity-free lookup: a legitimately cached falsy payload (``None``,
-#: ``0``, ``[]``) comes back as itself, never conflated with a miss.
-_MISS = object()
+from repro.util.durable import MISS as _MISS
+from repro.util.durable import BlobSchema, BlobStore
 
 
-class RunCache:
-    """In-memory (+ optional on-disk) fingerprint -> payload cache."""
+class RunCache(BlobSchema):
+    """In-memory (+ optional on-disk) fingerprint -> payload cache.
+
+    A key schema over :class:`~repro.util.durable.BlobStore`: one blob
+    per fingerprint at ``<cache_dir>/<key[:2]>/<key>.pkl``.
+    """
 
     #: Sentinel returned by ``get(key, default=RunCache.MISS)`` so
     #: callers can cache falsy payloads without re-computing them.
     MISS = _MISS
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
-        self._lock = threading.RLock()
-        self._memory: dict[str, bytes] = {}
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.write_errors = 0
-        self._warned_write_error = False
+        self._blobs = BlobStore(cache_dir, name="run cache")
 
-    # -- tiers -----------------------------------------------------------
+    @property
+    def cache_dir(self) -> str | None:
+        return self._blobs.directory
 
-    def _path(self, key: str) -> str:
-        # Two-level fan-out keeps directories small on big sweeps.
-        return os.path.join(self.cache_dir, key[:2], f"{key}.pkl")
-
-    def _disk_read(self, key: str) -> bytes | None:
-        if self.cache_dir is None:
-            return None
-        try:
-            with open(self._path(key), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    def _disk_write(self, key: str, blob: bytes) -> None:
-        if self.cache_dir is None:
-            return
-        path = self._path(key)
-        tmp = None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError as exc:
-            # The memory tier still holds the entry; count the failure
-            # and warn once so a dead cache dir surfaces instead of
-            # silently degrading every future process to cold misses.
-            with self._lock:
-                self.write_errors += 1
-                warn_now = not self._warned_write_error
-                self._warned_write_error = True
-            if warn_now:
-                warnings.warn(
-                    f"run cache: disk write to {self.cache_dir} failed "
-                    f"({exc}); caching continues in memory only, further "
-                    f"failures are counted in counters()['write_errors']",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+    @cache_dir.setter
+    def cache_dir(self, value: str | None) -> None:
+        self._blobs.directory = value
 
     # -- public ----------------------------------------------------------
 
@@ -133,42 +68,11 @@ class RunCache:
         for a hit, so ``result is RunCache.MISS`` is an unambiguous
         miss test.
         """
-        with self._lock:
-            blob = self._memory.get(key)
-        if blob is None:
-            blob = self._disk_read(key)
-            if blob is not None:
-                try:
-                    payload = pickle.loads(blob)
-                except Exception:
-                    # Torn/incompatible disk entry: drop it.
-                    try:
-                        os.unlink(self._path(key))
-                    except OSError:
-                        pass
-                    with self._lock:
-                        self.invalidations += 1
-                        self.misses += 1
-                    return default
-                with self._lock:
-                    self._memory[key] = blob  # promote to the memory tier
-                    self.hits += 1
-                return payload
-        if blob is None:
-            with self._lock:
-                self.misses += 1
-            return default
-        with self._lock:
-            self.hits += 1
-        return pickle.loads(blob)
+        return self._blobs.get(key, default)
 
     def put(self, key: str, payload: Any) -> None:
         """Serialize and store ``payload`` in every enabled tier."""
-        blob = pickle.dumps(payload)
-        with self._lock:
-            self._memory[key] = blob
-            self.stores += 1
-        self._disk_write(key, blob)
+        self._blobs.put(key, payload)
 
     def get_or_run(self, key: str, compute: Callable[[], Any]) -> Any:
         """``get(key)``, falling back to ``compute()`` + ``put``.
@@ -182,57 +86,16 @@ class RunCache:
         cached = self.get(key, _MISS)
         if cached is not _MISS:
             return cached
-        payload = compute()
-        self.put(key, payload)
-        with self._lock:
-            blob = self._memory[key]
-        return pickle.loads(blob)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._memory:
-                return True
-        return self._disk_read(key) is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    def clear(self) -> None:
-        """Drop the memory tier (disk entries are left in place)."""
-        with self._lock:
-            self._memory.clear()
-
-    # -- reporting -------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "invalidations": self.invalidations,
-                "write_errors": self.write_errors,
-            }
+        self.put(key, compute())
+        return self._blobs.get(key, tally=False)
 
     def describe(self) -> str:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            entries = len(self._memory)
-            write_errors = self.write_errors
-        rate = hits / (hits + misses) if hits + misses else 0.0
+        write_errors = self.write_errors
         tier = f", disk={self.cache_dir}" if self.cache_dir else ""
         errors = (
             f", {write_errors} disk write error(s)" if write_errors else ""
         )
         return (
-            f"run cache: {hits} hits / {misses} misses "
-            f"({100 * rate:.0f}%), {entries} entries"
+            f"run cache: {self._hit_summary()}, {len(self)} entries"
             f"{tier}{errors}"
         )

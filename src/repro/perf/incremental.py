@@ -40,12 +40,10 @@ and the prefix key separates resolved steady modes, so ``off`` and
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
-import threading
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.util.durable import MISS, BlobSchema, BlobStore
 
 if TYPE_CHECKING:
     from repro.sim.executor import Executor
@@ -223,197 +221,73 @@ def install_snapshot(ex: "Executor", snap: Snapshot) -> None:
     ex._samples = snap.samples
 
 
-class CheckpointStore:
+class CheckpointStore(BlobSchema):
     """Prefix-checkpoint tiers: ``base key -> {boundary: snapshot}``.
 
-    Mirrors :class:`~repro.perf.cache.RunCache`: an always-on memory
-    tier plus an optional on-disk tier (``checkpoint_dir``), atomic
-    writes, lock-guarded counters, and pickle round-trips on every hit
-    so restored state never aliases the donor's.
-
-    Disk layout: ``<dir>/<key[:2]>/<key>/<iteration>.pkl`` — one
-    directory per base key so :meth:`best` can enumerate available
+    A key schema over :class:`~repro.util.durable.BlobStore` (the same
+    primitive as :class:`~repro.perf.cache.RunCache`): one blob per
+    boundary under the key ``<base key>/<iteration>``, so the disk
+    layout is ``<dir>/<key[:2]>/<key>/<iteration>.pkl`` — one
+    directory per base key, and :meth:`best` enumerates the available
     boundaries with a single ``listdir``.
+
+    A store pickles as its directory: a pool worker reopens the shared
+    disk tier, and a memory-only store (whose snapshots cannot cross
+    processes) arrives as ``None``.
     """
 
     def __init__(self, checkpoint_dir: str | os.PathLike | None = None):
-        self._lock = threading.RLock()
-        self._memory: dict[str, dict[int, bytes]] = {}
-        self.checkpoint_dir = (
-            os.fspath(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        if self.checkpoint_dir is not None:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.write_errors = 0
+        self._blobs = BlobStore(checkpoint_dir, name="checkpoint store")
         #: Total simulated iterations short-circuited by restores — the
         #: work the prefix reuse saved, in iteration units.
-        self.saved_iterations = 0
-        self._warned_write_error = False
+        self._blobs.count("saved_iterations", 0)
 
-    # -- tiers -----------------------------------------------------------
+    @property
+    def checkpoint_dir(self) -> str | None:
+        return self._blobs.directory
 
-    def _key_dir(self, base_key: str) -> str:
-        return os.path.join(self.checkpoint_dir, base_key[:2], base_key)
-
-    def _path(self, base_key: str, iteration: int) -> str:
-        return os.path.join(self._key_dir(base_key), f"{iteration}.pkl")
-
-    def _disk_iterations(self, base_key: str) -> list[int]:
-        if self.checkpoint_dir is None:
-            return []
-        try:
-            names = os.listdir(self._key_dir(base_key))
-        except OSError:
-            return []
-        out = []
-        for name in names:
-            stem, ext = os.path.splitext(name)
-            if ext == ".pkl" and stem.isdigit():
-                out.append(int(stem))
-        return out
-
-    def _disk_read(self, base_key: str, iteration: int) -> bytes | None:
-        if self.checkpoint_dir is None:
-            return None
-        try:
-            with open(self._path(base_key, iteration), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    def _disk_write(self, base_key: str, iteration: int, blob: bytes) -> None:
-        if self.checkpoint_dir is None:
-            return
-        path = self._path(base_key, iteration)
-        tmp = None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError as exc:
-            with self._lock:
-                self.write_errors += 1
-                warn_now = not self._warned_write_error
-                self._warned_write_error = True
-            if warn_now:
-                warnings.warn(
-                    f"checkpoint store: disk write to {self.checkpoint_dir} "
-                    f"failed ({exc}); checkpointing continues in memory "
-                    "only, further failures are counted in "
-                    "counters()['write_errors']",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-
-    # -- public ----------------------------------------------------------
+    def __reduce__(self):
+        return (_reopen, (self.checkpoint_dir,))
 
     def put(self, base_key: str, snapshot: Snapshot) -> None:
         """Store one boundary snapshot under its prefix key."""
-        blob = pickle.dumps(snapshot)
-        with self._lock:
-            self._memory.setdefault(base_key, {})[snapshot.iteration] = blob
-            self.stores += 1
-        self._disk_write(base_key, snapshot.iteration, blob)
+        self._blobs.put(f"{base_key}/{snapshot.iteration}", snapshot)
 
     def has(self, base_key: str, iteration: int) -> bool:
         """Cheap existence probe (no counters) — lets donors skip
         re-pickling a boundary an earlier identical run already saved."""
-        with self._lock:
-            if iteration in self._memory.get(base_key, ()):
-                return True
-        if self.checkpoint_dir is None:
-            return False
-        return os.path.exists(self._path(base_key, iteration))
+        return self._blobs.has(f"{base_key}/{iteration}")
 
     def best(self, base_key: str, max_iteration: int) -> Snapshot | None:
         """The deepest stored boundary ``<= max_iteration``, freshly
         deserialized, or ``None``.  Counts one hit or one miss; a hit
-        credits its depth to ``saved_iterations``."""
-        with self._lock:
-            candidates = set(self._memory.get(base_key, ()))
-        candidates.update(self._disk_iterations(base_key))
+        credits its depth to ``saved_iterations``.  A torn disk entry
+        is invalidated and the next shallower boundary tried."""
+        stems = (key.rpartition("/")[2] for key in self._blobs.keys(base_key))
+        depths = {int(stem) for stem in stems if stem.isdigit()}
         for iteration in sorted(
-            (i for i in candidates if i <= max_iteration), reverse=True
+            (i for i in depths if i <= max_iteration), reverse=True
         ):
-            with self._lock:
-                blob = self._memory.get(base_key, {}).get(iteration)
-            if blob is None:
-                blob = self._disk_read(base_key, iteration)
-            if blob is None:
-                continue
-            try:
-                snap = pickle.loads(blob)
-            except Exception:
-                # Torn/incompatible disk entry: drop it, try shallower.
-                try:
-                    os.unlink(self._path(base_key, iteration))
-                except OSError:
-                    pass
-                with self._lock:
-                    self.invalidations += 1
-                continue
-            with self._lock:
-                self._memory.setdefault(base_key, {})[iteration] = blob
-                self.hits += 1
-                self.saved_iterations += iteration
-            return snap
-        with self._lock:
-            self.misses += 1
+            snap = self._blobs.get(f"{base_key}/{iteration}", tally=False)
+            if snap is not MISS:
+                self._blobs.count("hits")
+                self._blobs.count("saved_iterations", iteration)
+                return snap
+        self._blobs.count("misses")
         return None
 
-    def clear(self) -> None:
-        """Drop the memory tier (disk entries are left in place)."""
-        with self._lock:
-            self._memory.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._memory.values())
-
-    # -- reporting -------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "invalidations": self.invalidations,
-                "write_errors": self.write_errors,
-                "saved_iterations": self.saved_iterations,
-            }
-
     def describe(self) -> str:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            saved = self.saved_iterations
-            entries = sum(len(v) for v in self._memory.values())
-        rate = hits / (hits + misses) if hits + misses else 0.0
         tier = f", disk={self.checkpoint_dir}" if self.checkpoint_dir else ""
         return (
-            f"checkpoints: {hits} hits / {misses} misses "
-            f"({100 * rate:.0f}%), {saved} iteration(s) saved, "
-            f"{entries} snapshot(s){tier}"
+            f"checkpoints: {self._hit_summary()}, {self.saved_iterations} "
+            f"iteration(s) saved, {len(self)} snapshot(s){tier}"
         )
+
+
+def _reopen(checkpoint_dir: str | None) -> "CheckpointStore | None":
+    if checkpoint_dir is None:
+        return None
+    return CheckpointStore(checkpoint_dir)
 
 
 def snapshot_boundary(iteration: int, total: int) -> bool:

@@ -29,6 +29,7 @@ from repro.schedulers.harmony_tp import HarmonyTP
 from repro.schedulers.pipedream_1f1b import PipeDream1F1B
 from repro.schedulers.dapple import DappleScheduler
 from repro.schedulers.options import HarmonyOptions
+from repro.util.registry import lookup
 
 #: scheme name -> factory(model, topology, batch, options).  Baseline
 #: schemes honor only the ``pack_size`` option; Harmony schemes take the
@@ -78,15 +79,8 @@ def build_scheduler(
 ) -> Scheduler:
     """Construct the scheduler for a scheme name (the single registry
     the session, CLI, and differential cross-checker all share)."""
-    from repro.errors import ConfigError
-
     options = options if options is not None else HarmonyOptions()
-    factory = SCHEDULER_REGISTRY.get(scheme)
-    if factory is None:
-        raise ConfigError(
-            f"unknown scheme {scheme!r}; valid schemes: "
-            + ", ".join(scheme_names())
-        )
+    factory = lookup(SCHEDULER_REGISTRY, scheme, "scheme")
     return factory(model, topology, batch, options)
 
 

@@ -389,27 +389,10 @@ class JobServer:
         try:
             result = execute_job(record.spec, sup, cache=self.cache)
             return ("done", result, None, dict(sup._counters))
-        except DrainedError as exc:
-            return (
-                "drained",
-                None,
-                {"type": type(exc).__name__, "message": str(exc)},
-                dict(sup._counters),
-            )
-        except ReproError as exc:
-            return (
-                "failed",
-                None,
-                {"type": type(exc).__name__, "message": str(exc)},
-                dict(sup._counters),
-            )
         except Exception as exc:  # noqa: BLE001 — the job must settle
-            return (
-                "failed",
-                None,
-                {"type": type(exc).__name__, "message": str(exc)},
-                dict(sup._counters),
-            )
+            status = "drained" if isinstance(exc, DrainedError) else "failed"
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            return (status, None, error, dict(sup._counters))
 
     def _job_finished(self, record: JobRecord, future) -> None:
         """Settle one finished job (loop thread, via future callback)."""

@@ -1,12 +1,11 @@
-"""Crash-safe sweep supervision (``repro.supervisor``).
+"""Sweep execution and crash safety (``repro.supervisor``).
 
-The reproduction's host-side hot path — ``SweepRunner`` fanning
-hundreds of simulations over a process pool — assumed a well-behaved
-world: one segfaulted worker aborted the whole sweep with
-``BrokenProcessPool``, one hung spec stalled it forever, and a Ctrl-C
-threw away every uncached result.  This package is the durable
-execution layer that removes those assumptions, the same
-checkpoint/restart discipline the simulated cluster already practices
+Every sweep-shaped piece of work — CLI sweeps, the tuner's probes,
+fault-sweep cells, benchmark sections, server jobs — runs through one
+:class:`Supervisor`, the only owner of a process pool in the package.
+It runs tasks inline when there is nothing to fan out and nothing asks
+for crash isolation, and otherwise over a worker pool with the same
+checkpoint/restart discipline the simulated cluster practices
 (``repro.faults``) applied to the harness itself:
 
 * :class:`Supervisor` — watchdog timeouts, retry with exponential

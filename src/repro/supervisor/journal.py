@@ -14,12 +14,11 @@ supervisor appends one record per event:
   :class:`~repro.errors.ReproError`), or ``poisoned`` (payload is the
   :class:`~repro.errors.PoisonedSpecError`).
 
-Durability contract: each record is one JSON line, flushed and
-``fsync``'d before the write returns.  A crash can therefore tear at
-most the final line; :func:`load_journal` skips any unparseable line
-(counting it in ``torn_records``) instead of failing, and
-:class:`JournalWriter` newline-terminates a torn tail before appending,
-so a journal survives any interleaving of crashes and resumes.
+Durability is :class:`~repro.util.durable.AppendLog`'s: each record is
+one fsync'd JSON line, a crash tears at most the final line,
+:func:`load_journal` skips (and counts in ``torn_records``) any
+unparseable line, and reopening newline-terminates a torn tail, so a
+journal survives any interleaving of crashes and resumes.
 
 A journal is a *resume artifact for one interrupted invocation*, not a
 cache: replayed payloads are served exactly as recorded, with no
@@ -30,13 +29,13 @@ scheduler-version salt, is the staleness-aware tier.)
 from __future__ import annotations
 
 import base64
-import json
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, IO
+from typing import Any
 
 from repro.errors import JournalError
+from repro.util.durable import AppendLog, load_log
 
 #: Journal schema version; bump on incompatible record changes.
 JOURNAL_SCHEMA = 1
@@ -115,24 +114,9 @@ def load_journal(path: str | os.PathLike) -> JournalState:
     """
     path = os.fspath(path)
     state = JournalState(path=path)
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return state
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
 
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            kind = record["type"]
-        except (ValueError, KeyError, TypeError):
-            state.torn_records += 1
-            continue
-        state.records += 1
+    def fold(record: dict) -> None:
+        kind = record["type"]
         if kind == "header":
             command = record.get("command")
             if isinstance(command, list) and all(
@@ -157,50 +141,29 @@ def load_journal(path: str | os.PathLike) -> JournalState:
                     payload_b64=record.get("payload"),
                 )
         # Unknown record types from a newer writer are skipped silently.
+
+    try:
+        state.records, state.torn_records = load_log(path, fold)
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {path}: {exc}") from exc
     return state
 
 
-class JournalWriter:
+class JournalWriter(AppendLog):
     """Appends fsync'd records to a journal file.
 
-    Opening an existing journal never rewrites history: if the file
-    ends in a torn fragment the writer first terminates it with a
-    newline, then appends.  The header is written only when the file is
-    empty (a resumed sweep keeps the original header and argv).
+    Opening an existing journal never rewrites history (see
+    :class:`~repro.util.durable.AppendLog`).  The header is written
+    only when the file is empty (a resumed sweep keeps the original
+    header and argv).
     """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = os.fspath(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        existed = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        self._fh: IO[bytes] = open(self.path, "ab")
-        if existed:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    self._append(b"\n")
-        self._fresh = not existed
-
-    # -- plumbing --------------------------------------------------------
-
-    def _append(self, data: bytes) -> None:
-        self._fh.write(data)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def _record(self, record: dict) -> None:
-        self._append(json.dumps(record, sort_keys=True).encode() + b"\n")
-
-    # -- records ---------------------------------------------------------
 
     def header(self, command: list[str] | None) -> None:
         """Write the header iff this writer created the journal."""
-        if not self._fresh:
+        if not self.fresh:
             return
-        self._fresh = False
-        self._record(
+        self.fresh = False
+        self.append(
             {
                 "type": "header",
                 "schema": JOURNAL_SCHEMA,
@@ -209,7 +172,7 @@ class JournalWriter:
         )
 
     def attempt(self, key: str, attempt: int) -> None:
-        self._record({"type": "attempt", "key": key, "attempt": attempt})
+        self.append({"type": "attempt", "key": key, "attempt": attempt})
 
     def outcome(
         self, key: str, status: str, attempts: int, payload: Any
@@ -218,7 +181,7 @@ class JournalWriter:
         if status not in _TERMINAL:
             raise JournalError(f"not a terminal status: {status!r}")
         encoded = _encode_payload(payload)
-        self._record(
+        self.append(
             {
                 "type": "outcome",
                 "key": key,
@@ -230,13 +193,3 @@ class JournalWriter:
         return Outcome(
             key=key, status=status, attempts=attempts, payload_b64=encoded
         )
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "JournalWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -61,13 +61,6 @@ class SupervisorReport:
             and not self.quarantined
         )
 
-    def describe(self) -> str:
-        return (
-            f"supervisor: {self.tasks} task(s), {self.executed} executed, "
-            f"{self.replayed} replayed, {self.cache_hits} cache hit(s), "
-            f"{len(self.quarantined)} quarantined"
-        )
-
     def render(self) -> str:
         lines = [
             (

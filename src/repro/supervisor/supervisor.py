@@ -1,11 +1,16 @@
-"""Crash-safe sweep supervision: the durable execution layer.
+"""Sweep execution: the one place work fans out over processes.
 
 :class:`Supervisor` runs a list of :class:`Task` (or
-:class:`~repro.perf.runner.RunSpec`) to completion *no matter what the
+:class:`~repro.perf.runner.RunSpec`) to completion, results in
+submission order.  It owns the only process pool in the package and
+decides per run whether to use it: tasks run inline unless more than
+one is pending with ``jobs > 1``, or a journal or watchdog asks for
+crash isolation.  In a pool it completes the sweep *no matter what the
 workers do*:
 
 * a worker that segfaults or is OOM-killed breaks the process pool —
-  the supervisor respawns the pool and re-submits every in-flight task
+  the supervisor respawns the pool and re-runs the tasks that were in
+  flight, each alone, so only the one that crashes again is charged,
   instead of raising ``BrokenProcessPool`` out of the sweep;
 * a worker that hangs trips the per-task watchdog
   (:class:`~repro.supervisor.policy.RetryPolicy.timeout`); reclaiming a
@@ -20,8 +25,7 @@ workers do*:
   completes normally;
 * deterministic domain failures (a returned or raised
   :class:`~repro.errors.ReproError` that is not a
-  :class:`~repro.errors.WorkerError`) are *results*, never retried —
-  exactly the contract of :class:`~repro.perf.runner.SweepRunner`.
+  :class:`~repro.errors.WorkerError`) are *results*, never retried.
 
 With a journal (see :mod:`repro.supervisor.journal`) every terminal
 outcome is fsync'd as it lands, so a crash or Ctrl-C loses at most the
@@ -46,6 +50,7 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -104,9 +109,7 @@ class Supervisor:
     Parameters
     ----------
     jobs:
-        Worker processes (>= 1).  Even ``jobs=1`` runs tasks in a
-        child process — crash isolation is the point; inline execution
-        is only a fallback for platforms without multiprocessing.
+        Worker processes (>= 1) for runs that use the pool.
     cache:
         Optional :class:`~repro.perf.cache.RunCache` consulted before
         execution and updated after, for tasks with ``cacheable=True``.
@@ -128,10 +131,13 @@ class Supervisor:
         Optional callback ``(index, outcome)`` fired after each task
         *executed this process* reaches a terminal outcome.
     inline:
-        Execute tasks in this process instead of a worker pool.  No
-        crash isolation and no watchdog, but no pool-spawn cost either
-        — the job server's light-isolation mode.  Retry, backoff,
-        quarantine, journaling, and drain all still apply.
+        ``None`` (default) picks per run: a pool only when more than one
+        task is pending and ``jobs > 1``, or when :attr:`isolated`.
+        ``True`` always executes in this process — no crash isolation
+        and no watchdog, but no pool-spawn cost either (the job
+        server's light-isolation mode); ``False`` always uses worker
+        processes (its process-isolation mode).  Retry, backoff,
+        quarantine, journaling, and drain apply either way.
     """
 
     def __init__(
@@ -145,7 +151,7 @@ class Supervisor:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         on_outcome: Callable[[int, Any], None] | None = None,
-        inline: bool = False,
+        inline: bool | None = None,
     ):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -182,22 +188,19 @@ class Supervisor:
         self._history: dict[str, tuple[str, ...]] = {}
         self._recovery_wall = 0.0
 
+    @property
+    def isolated(self) -> bool:
+        """True when a journal or watchdog asks for crash isolation —
+        the supervised runs whose report the CLI prints."""
+        return self.journal_path is not None or self.policy.timeout is not None
+
     # -- reporting -------------------------------------------------------
 
     @property
     def report(self) -> SupervisorReport:
         """Cumulative accounting across every ``run_*`` call so far."""
         return SupervisorReport(
-            tasks=self._counters["tasks"],
-            replayed=self._counters["replayed"],
-            cache_hits=self._counters["cache_hits"],
-            executed=self._counters["executed"],
-            attempts=self._counters["attempts"],
-            retries=self._counters["retries"],
-            respawns=self._counters["respawns"],
-            timeouts=self._counters["timeouts"],
-            failures=self._counters["failures"],
-            drained=self._counters["drained"],
+            **self._counters,
             quarantined=tuple(self._quarantined),
             recovery_wall_sec=self._recovery_wall,
             journal_path=self.journal_path,
@@ -227,16 +230,10 @@ class Supervisor:
         """
         self._drain.set()
 
-    @property
-    def draining(self) -> bool:
-        """True once :meth:`request_drain` has been called."""
-        return self._drain.is_set()
-
     # -- entry points ----------------------------------------------------
 
     def run_specs(self, specs, return_exceptions: bool = False) -> list:
-        """Supervised analogue of
-        :meth:`repro.perf.runner.SweepRunner.run_all`: cache-first,
+        """Simulate :class:`~repro.perf.runner.RunSpec` s: cache-first,
         results in spec order, domain errors in-slot or re-raised."""
         from repro.perf.runner import _execute_spec, spec_key
 
@@ -336,17 +333,22 @@ class Supervisor:
 
     # -- the drive loop --------------------------------------------------
 
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor | None:
-        """A fresh pool, or ``None`` when this platform cannot run
-        worker processes at all (inline fallback, no watchdog)."""
+    def _uses_pool(self, pending: int) -> bool:
+        if self.inline is not None:
+            return not self.inline
+        return self.isolated or (self.jobs > 1 and pending > 1)
+
+    def _new_pool(self, workers: int):
+        """A fresh process pool, or an inline executor on platforms
+        that cannot run worker processes (no watchdog then)."""
         try:
             return ProcessPoolExecutor(
                 max_workers=workers, mp_context=self.mp_context
             )
         except (OSError, NotImplementedError, ImportError):
-            return None
+            return _InlineExecutor()
 
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
+    def _kill_pool(self, pool) -> None:
         """Tear a pool down even if its workers are hung: cancel what
         can be cancelled, then SIGTERM (and as a last resort SIGKILL)
         every worker process."""
@@ -375,15 +377,29 @@ class Supervisor:
         attempts: dict[int, int],
         results: list[Any],
     ) -> None:
-        workers = max(1, min(self.jobs, len(pending)))
+        """Run ``pending`` to terminal outcomes, inline or in a pool.
+
+        A crashed worker breaks the whole pool and fails every task in
+        flight with it, so a crash charges an attempt only to a task
+        that was alone in flight.  When several were, each is re-run
+        alone in a fresh single-worker pool (``solo``) before anything
+        else is submitted; only a task whose solo run crashes is
+        charged, so a poison task never gets an innocent bystander
+        quarantined.  A watchdog expiry is attributable to its task, so
+        it charges that task and re-queues the others refunded.
+        """
+        use_pool = self._uses_pool(len(pending))
+        workers = max(1, min(self.jobs, len(pending))) if use_pool else 1
         queue: deque[int] = deque(pending)
+        solo: deque[int] = deque()
         ready_at: dict[int, float] = {}
         histories: dict[int, list[str]] = {i: [] for i in pending}
         inflight: dict[Any, int] = {}
         deadlines: dict[Any, float | None] = {}
         started: dict[Any, float] = {}
         watchdog = self.policy.timeout
-        pool: ProcessPoolExecutor | None = None
+        pool = None
+        pool_size = 0
 
         def settle(i: int, value: Any, t0: float | None) -> None:
             task = tasks[i]
@@ -428,86 +444,84 @@ class Supervisor:
                 )
                 queue.append(i)
 
-        def recycle(culprit_reasons: dict[int, str], refund_victims: bool) -> None:
-            """Tear down the pool, salvaging finished work and
-            re-queueing everything else."""
-            nonlocal pool
+        def recycle(culprits: dict[int, str], requeue: deque[int]) -> None:
+            """Tear down the pool: settle what finished, charge the
+            culprits, refund everything else onto ``requeue``."""
+            nonlocal pool, pool_size
             for fut in list(inflight):
                 i = inflight.pop(fut)
                 deadlines.pop(fut, None)
                 t0 = started.pop(fut, None)
                 fut.cancel()
-                finished = (
-                    fut.done()
-                    and not fut.cancelled()
-                    and fut.exception() is None
-                )
-                if finished:
+                if _succeeded(fut):
                     settle(i, fut.result(), t0)
-                elif i in culprit_reasons:
-                    retryable(i, culprit_reasons[i], t0)
+                elif i in culprits:
+                    retryable(i, culprits[i], t0)
                 else:
-                    # Collateral of the recycle, not this task's fault.
-                    if refund_victims:
-                        attempts[i] -= 1
+                    attempts[i] -= 1
                     if t0 is not None:
                         self._recovery_wall += max(0.0, self._clock() - t0)
                     ready_at[i] = 0.0
-                    queue.append(i)
-            if pool is not None:
-                self._kill_pool(pool)
-                pool = None
+                    requeue.append(i)
+            self._kill_pool(pool)
+            pool, pool_size = None, 0
 
-        def ensure_pool(i: int) -> None:
-            """Create the pool if needed; on platforms without worker
-            processes, put ``i`` back and fall to inline execution."""
-            nonlocal pool
-            if pool is None:
-                pool = self._new_pool(workers)
-                if pool is None:
-                    queue.appendleft(i)
-                    raise _InlineFallback()
+        def crashed() -> None:
+            self._counters["respawns"] += 1
+            suspects = [
+                i for fut, i in inflight.items() if not _succeeded(fut)
+            ]
+            if len(suspects) == 1:
+                reason = "worker crashed (process pool broken)"
+                recycle({suspects[0]: reason}, queue)
+            else:
+                recycle({}, solo)
 
-        def submit(i: int) -> None:
-            nonlocal pool
-            ensure_pool(i)
+        def submit(i: int, size: int) -> None:
+            nonlocal pool, pool_size
+            if pool_size != size or size < workers:
+                # Open (or resize) the pool; a solo run always gets a
+                # fresh one.  Only an idle pool is ever replaced.
+                if pool is not None:
+                    pool.shutdown()
+                pool = self._new_pool(size) if use_pool else _InlineExecutor()
+                pool_size = size
             attempts[i] += 1
             self._counters["attempts"] += 1
-            task = tasks[i]
             if self._writer is not None:
-                self._writer.attempt(task.key, attempts[i])
+                self._writer.attempt(tasks[i].key, attempts[i])
+            t0 = self._clock()
             try:
-                fut = pool.submit(task.fn, task.payload)
+                fut = pool.submit(tasks[i].fn, tasks[i].payload)
             except BrokenExecutor:
                 # The pool died while idle (a worker crashed between
                 # waits).  One respawn, then let a second break raise.
                 self._counters["respawns"] += 1
                 self._kill_pool(pool)
-                pool = None
-                ensure_pool(i)
-                fut = pool.submit(task.fn, task.payload)
-            now = self._clock()
+                pool = self._new_pool(size)
+                fut = pool.submit(tasks[i].fn, tasks[i].payload)
             inflight[fut] = i
-            started[fut] = now
-            deadlines[fut] = now + watchdog if watchdog else None
-
-        if self.inline:
-            self._drive_inline(tasks, queue, ready_at, attempts, histories,
-                               results, settle_retry=(settle, retryable))
-            return
+            started[fut] = t0
+            deadlines[fut] = t0 + watchdog if watchdog else None
 
         try:
-            while queue or inflight:
-                if self._drain.is_set() and not inflight:
+            while queue or solo or inflight:
+                draining = self._drain.is_set()
+                if draining and not inflight:
                     break  # unstarted tasks become DrainedError slots
                 now = self._clock()
-                if queue and len(inflight) < workers and not self._drain.is_set():
-                    ready = [
-                        i for i in queue if ready_at.get(i, 0.0) <= now
-                    ]
+                if not draining and not inflight and solo:
+                    submit(solo.popleft(), 1)
+                elif (
+                    not draining
+                    and not solo
+                    and len(inflight) < workers
+                    and (pool_size == workers or not inflight)
+                ):
+                    ready = [i for i in queue if ready_at.get(i, 0.0) <= now]
                     for i in ready[: workers - len(inflight)]:
                         queue.remove(i)
-                        submit(i)
+                        submit(i, workers)
                 if not inflight:
                     if not queue:
                         break
@@ -518,16 +532,22 @@ class Supervisor:
                 wait_candidates = [
                     d - now for d in deadlines.values() if d is not None
                 ]
-                if queue and len(inflight) < workers and not self._drain.is_set():
+                if (
+                    queue
+                    and not solo
+                    and len(inflight) < workers
+                    and not draining
+                ):
                     wait_candidates += [
                         ready_at.get(i, 0.0) - now for i in queue
                     ]
-                wait_timeout = (
-                    max(0.0, min(wait_candidates)) if wait_candidates else None
-                )
                 done, _ = wait(
                     list(inflight),
-                    timeout=wait_timeout,
+                    timeout=(
+                        max(0.0, min(wait_candidates))
+                        if wait_candidates
+                        else None
+                    ),
                     return_when=FIRST_COMPLETED,
                 )
 
@@ -536,35 +556,20 @@ class Supervisor:
                         continue  # consumed by an earlier recycle
                     exc = None if fut.cancelled() else fut.exception()
                     if isinstance(exc, BrokenExecutor):
-                        self._counters["respawns"] += 1
-                        reasons = {
-                            i: "worker crashed (process pool broken)"
-                            for i in inflight.values()
-                        }
-                        recycle(reasons, refund_victims=False)
+                        crashed()
                         break
                     i = inflight.pop(fut)
                     deadlines.pop(fut, None)
                     t0 = started.pop(fut, None)
                     if fut.cancelled():
                         retryable(i, "attempt cancelled", t0)
-                    elif exc is None:
-                        settle(i, fut.result(), t0)
-                    elif isinstance(exc, ReproError):
-                        # Deterministic domain failure raised (rather
-                        # than returned) by an unhardened worker fn.
-                        results[i] = exc
-                        self._counters["failures"] += 1
-                        self._journal_outcome(
-                            tasks[i], FAILED, attempts[i], exc
-                        )
-                        if self.on_outcome is not None:
-                            self.on_outcome(i, exc)
+                    elif exc is None or isinstance(exc, ReproError):
+                        # A raised ReproError is a deterministic domain
+                        # failure, the same as a returned one.
+                        settle(i, fut.result() if exc is None else exc, t0)
                     else:
                         retryable(
-                            i,
-                            f"worker raised {type(exc).__name__}: {exc}",
-                            t0,
+                            i, f"raised {type(exc).__name__}: {exc}", t0
                         )
 
                 if watchdog and inflight:
@@ -580,17 +585,11 @@ class Supervisor:
                     if expired:
                         self._counters["timeouts"] += len(expired)
                         self._counters["respawns"] += 1
-                        reasons = {
-                            i: (
-                                f"timed out after {watchdog:g}s "
-                                f"(watchdog killed the pool)"
-                            )
-                            for i in expired
-                        }
-                        recycle(reasons, refund_victims=True)
-        except _InlineFallback:
-            self._drive_inline(tasks, queue, ready_at, attempts, histories,
-                               results, settle_retry=(settle, retryable))
+                        reason = (
+                            f"timed out after {watchdog:g}s "
+                            f"(watchdog killed the pool)"
+                        )
+                        recycle(dict.fromkeys(expired, reason), queue)
         except BaseException:
             if pool is not None:
                 self._kill_pool(pool)
@@ -600,46 +599,28 @@ class Supervisor:
             if pool is not None:
                 pool.shutdown()
 
-    def _drive_inline(
-        self, tasks, queue, ready_at, attempts, histories, results,
-        settle_retry,
-    ) -> None:
-        """Sequential fallback when worker processes are unavailable.
 
-        Retries and backoff still apply; the watchdog cannot (there is
-        no process to kill), and a crash takes the whole run with it —
-        the journal still bounds the loss to the current attempt.
-        """
-        settle, retryable = settle_retry
-        while queue:
-            if self._drain.is_set():
-                break  # unstarted tasks become DrainedError slots
-            i = queue.popleft()
-            now = self._clock()
-            not_before = ready_at.get(i, 0.0)
-            if not_before > now:
-                self._sleep(not_before - now)
-            attempts[i] += 1
-            self._counters["attempts"] += 1
-            if self._writer is not None:
-                self._writer.attempt(tasks[i].key, attempts[i])
-            t0 = self._clock()
-            try:
-                value = tasks[i].fn(tasks[i].payload)
-            except ReproError as exc:
-                results[i] = exc
-                self._counters["failures"] += 1
-                self._journal_outcome(tasks[i], FAILED, attempts[i], exc)
-                if self.on_outcome is not None:
-                    self.on_outcome(i, exc)
-            except Exception as exc:  # noqa: BLE001 — retry boundary
-                retryable(i, f"raised {type(exc).__name__}: {exc}", t0)
-            else:
-                settle(i, value, t0)
+def _succeeded(fut) -> bool:
+    return fut.done() and not fut.cancelled() and fut.exception() is None
 
 
-class _InlineFallback(Exception):
-    """Internal: signals that no worker pool can be created."""
+class _InlineExecutor:
+    """Runs each submission to completion in this process at once —
+    the pool stand-in for inline runs.  Retry, backoff, quarantine,
+    journaling and drain work unchanged; a hang cannot be reclaimed
+    and a crash takes the whole run with it (the journal still bounds
+    the loss to the current attempt)."""
+
+    def submit(self, fn: Callable[[Any], Any], payload: Any) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(payload))
+        except Exception as exc:  # noqa: BLE001 — settled like a worker's
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
 
 
 @contextlib.contextmanager

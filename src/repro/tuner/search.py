@@ -7,28 +7,24 @@ enumerate the feasible grid for a fixed per-replica mini-batch, then
 hill-climb pack size around the best grid point (including a distinct
 backward pack size, motivated by backward's 2-3x footprint).
 
-The search is embarrassingly parallel and highly redundant — the grid
-fans out over a process pool (``jobs``), and every profiled point is
-content-addressed in a :class:`~repro.perf.cache.RunCache` so the
-hill-climb's revisits (and any later search over the same workload)
-are cache hits instead of fresh simulations.
-
-A search can also run under a :class:`~repro.supervisor.Supervisor`
-(the CLI's ``--journal``): every profiled point becomes a journaled,
-watchdogged task, so a crashed or interrupted search resumes from its
-last completed probe instead of starting over.
+The search is embarrassingly parallel and highly redundant — every
+batch of probes runs as tasks under a
+:class:`~repro.supervisor.Supervisor` (fanned over ``jobs`` worker
+processes; journaled and watchdogged under the CLI's ``--journal``, so
+an interrupted search resumes from its last completed probe), and
+every profiled point is content-addressed in a
+:class:`~repro.perf.cache.RunCache` so the hill-climb's revisits (and
+any later search over the same workload) are cache hits instead of
+fresh simulations.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.perf.incremental import CheckpointStore
-    from repro.supervisor import Supervisor
 
 from repro.core.config import Parallelism
 from repro.errors import ConfigError
@@ -36,6 +32,7 @@ from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
 from repro.perf.cache import RunCache
 from repro.perf.fingerprint import FingerprintError, fingerprint
+from repro.supervisor import Supervisor, Task
 from repro.tuner.profiler import (
     ProfilePoint,
     profile_config,
@@ -92,23 +89,19 @@ def _combo_label(combo: _Combo) -> str:
 def _profile_combo(
     payload: tuple[
         ModelGraph, Topology, Parallelism | str, _Combo, int,
-        "str | None", "str | None",
+        "str | None", "CheckpointStore | None",
     ],
 ) -> ProfilePoint:
-    """Process-pool worker: profile one combo (top-level for pickling).
+    """Supervisor task: profile one combo (top-level for pickling).
 
-    The checkpoint store crosses the process boundary as its *directory*
-    (the store object holds a lock): workers reopen the disk tier and
-    share prefix snapshots through it.  A memory-only store stays with
-    the inline path — its snapshots cannot cross processes.
+    Run inline, the task uses the live checkpoint store (a memory-only
+    store works and its counters accrue in this process); in a pool
+    worker the store arrives reopened over its disk tier.
     """
-    model, topology, parallelism, combo, iterations, steady, ckpt_dir = payload
+    model, topology, parallelism, combo, iterations, steady, checkpoints = (
+        payload
+    )
     pack, mb_size, m, prefetch, bwd = combo
-    checkpoints = None
-    if ckpt_dir is not None:
-        from repro.perf.incremental import CheckpointStore
-
-        checkpoints = CheckpointStore(ckpt_dir)
     return profile_configuration(
         model, topology, pack, mb_size, m,
         parallelism=parallelism, prefetch=prefetch, pack_size_bwd=bwd,
@@ -117,12 +110,11 @@ def _profile_combo(
 
 
 class _Profiler:
-    """Cache-aware, optionally parallel evaluator of profile points.
+    """Cache-aware evaluator of profile points.
 
     Every evaluation goes through here so the search phases share one
-    pair of hit/miss counters; batches fan out over a process pool and
-    come back in submission order (the determinism rule shared with
-    :class:`~repro.perf.runner.SweepRunner`).
+    pair of hit/miss counters; each batch of misses runs as one
+    supervisor call and comes back in submission order.
     """
 
     def __init__(
@@ -131,22 +123,18 @@ class _Profiler:
         topology: Topology,
         parallelism: Parallelism | str,
         cache: RunCache | None = None,
-        jobs: int = 1,
-        supervisor: "Supervisor | None" = None,
+        supervisor: Supervisor | None = None,
         iterations: int = 1,
         steady_state: "str | None" = None,
         checkpoints: "CheckpointStore | None" = None,
     ):
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         if iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {iterations}")
         self.model = model
         self.topology = topology
         self.parallelism = parallelism
         self.cache = cache
-        self.jobs = jobs
-        self.supervisor = supervisor
+        self.supervisor = supervisor or Supervisor()
         self.iterations = iterations
         self.steady_state = steady_state
         self.checkpoints = checkpoints
@@ -191,54 +179,28 @@ class _Profiler:
                 self.misses += 1
                 pending.append(i)
         if pending:
-            ckpt_dir = (
-                self.checkpoints.checkpoint_dir
-                if self.checkpoints is not None
-                else None
-            )
-            payloads = [
-                (self.model, self.topology, self.parallelism, combos[i],
-                 self.iterations, self.steady_state, ckpt_dir)
+            # The profiler owns cache accounting, so tasks are not
+            # supervisor-cacheable; a journal still records every
+            # point, making an interrupted search resumable.
+            tasks = [
+                Task(
+                    key=keys[i] or f"profile:nokey:{combos[i]!r}",
+                    fn=_profile_combo,
+                    payload=(
+                        self.model, self.topology, self.parallelism,
+                        combos[i], self.iterations, self.steady_state,
+                        self.checkpoints,
+                    ),
+                    label=_combo_label(combos[i]),
+                )
                 for i in pending
             ]
-            if self.supervisor is not None:
-                from repro.supervisor import Task
-
-                # The profiler owns cache accounting, so tasks are not
-                # supervisor-cacheable; the journal still records every
-                # point, making an interrupted search resumable.
-                tasks = [
-                    Task(
-                        key=keys[i] or f"profile:nokey:{combos[i]!r}",
-                        fn=_profile_combo,
-                        payload=payload,
-                        label=_combo_label(combos[i]),
-                    )
-                    for i, payload in zip(pending, payloads)
-                ]
-                computed = self.supervisor.run_tasks(tasks)
-            elif self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    computed = list(pool.map(_profile_combo, payloads))
-            else:
-                # Inline: hand the store object straight through, so a
-                # memory-only store works (and counters accrue in-process).
-                computed = [self._profile_inline(combos[i]) for i in pending]
+            computed = self.supervisor.run_tasks(tasks)
             for i, point in zip(pending, computed):
                 points[i] = point
                 if keys[i] is not None:
                     self.cache.put(keys[i], point)
         return points  # type: ignore[return-value]
-
-    def _profile_inline(self, combo: _Combo) -> ProfilePoint:
-        pack, mb_size, m, prefetch, bwd = combo
-        return profile_configuration(
-            self.model, self.topology, pack, mb_size, m,
-            parallelism=self.parallelism, prefetch=prefetch,
-            pack_size_bwd=bwd, iterations=self.iterations,
-            steady_state=self.steady_state, checkpoints=self.checkpoints,
-        )
 
 
 @dataclass
@@ -313,7 +275,7 @@ def tune(
     search_bwd_pack: bool = False,
     cache: RunCache | None = None,
     jobs: int = 1,
-    supervisor: "Supervisor | None" = None,
+    supervisor: Supervisor | None = None,
     profile_iterations: int = 1,
     steady_state: "str | None" = None,
     checkpoints: "CheckpointStore | None" = None,
@@ -326,11 +288,11 @@ def tune(
     footprint in the backward pass, "motivating the need for different
     pack and microbatch sizes across these passes".
 
-    ``jobs`` fans the grid out over a process pool; ``cache`` makes
-    repeated probes (hill-climb revisits, re-runs of the same search)
-    cache hits.  ``supervisor`` routes every probe through a
-    :class:`~repro.supervisor.Supervisor` instead of a bare pool —
-    crash recovery, watchdog, and ``--journal`` resumability.
+    ``jobs`` fans the grid out over that many worker processes;
+    ``cache`` makes repeated probes (hill-climb revisits, re-runs of
+    the same search) cache hits.  ``supervisor`` runs every probe
+    through a caller's :class:`~repro.supervisor.Supervisor` instead
+    (its ``jobs``, watchdog, and ``--journal`` resumability apply).
 
     ``profile_iterations`` makes each probe simulate that many
     iterations (settled steady-state throughput rather than a first
@@ -343,8 +305,9 @@ def tune(
     if minibatch_per_replica < 1:
         raise ConfigError("minibatch_per_replica must be >= 1")
     profiler = _Profiler(
-        model, topology, parallelism, cache=cache, jobs=jobs,
-        supervisor=supervisor, iterations=profile_iterations,
+        model, topology, parallelism, cache=cache,
+        supervisor=supervisor or Supervisor(jobs=jobs),
+        iterations=profile_iterations,
         steady_state=steady_state, checkpoints=checkpoints,
     )
     ckpt0 = checkpoints.counters() if checkpoints is not None else None

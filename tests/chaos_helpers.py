@@ -41,6 +41,58 @@ def kill_self_always(payload):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _tally(directory: str, name: str) -> int:
+    """Count one more call of ``name``; returns its 1-based number."""
+    marker = os.path.join(directory, f"{name}.calls")
+    with open(marker, "a") as fh:
+        fh.write("x\n")
+    return call_count(marker)
+
+
+def _await_file(path: str, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def kill_self_with_bystander(payload):
+    """Die by SIGKILL on every attempt, like :func:`kill_self_always`,
+    but first wait (up to ``wait`` seconds) for the matching call of
+    :func:`bystander` to confirm it is in flight in the same pool — a
+    barrier that makes "poison and innocent broke the pool together"
+    certain instead of a scheduling accident.  A call that finds no
+    bystander (it ran alone) withdraws its arrival, so a later solo
+    bystander call does not wait for a killer that is already dead.
+
+    ``payload`` is ``(directory, wait)``.
+    """
+    directory, wait = payload
+    n = _tally(directory, "killer")
+    arrived = os.path.join(directory, f"killer.{n}")
+    open(arrived, "w").close()
+    if not _await_file(os.path.join(directory, f"bystander.{n}"), wait):
+        os.unlink(arrived)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def bystander(payload):
+    """The innocent half of :func:`kill_self_with_bystander`'s barrier.
+    When the killer's matching call is in flight, confirm and block
+    until its crash tears the pool down; run alone, double ``value``.
+
+    ``payload`` is ``(directory, wait, value)``.
+    """
+    directory, wait, value = payload
+    n = _tally(directory, "bystander")
+    if _await_file(os.path.join(directory, f"killer.{n}"), wait):
+        open(os.path.join(directory, f"bystander.{n}"), "w").close()
+        time.sleep(300)
+    return value * 2
+
+
 def fail_until(payload):
     """Raise ``RuntimeError`` until ``threshold`` prior calls have been
     tallied in ``marker``, then succeed — a transient fault that retry

@@ -1,6 +1,6 @@
 """Chaos tests: the supervisor under violent failure.
 
-Each test inflicts a failure the plain ``SweepRunner`` cannot survive —
+Each test inflicts a failure an unsupervised process pool cannot survive —
 a worker SIGKILLed mid-sweep (``BrokenProcessPool``), a worker that
 hangs forever, a journal torn mid-record by a crash — and asserts the
 supervised sweep still completes with correct, submission-ordered
@@ -15,7 +15,7 @@ import multiprocessing
 import pytest
 
 from repro.errors import PoisonedSpecError
-from repro.perf.runner import SweepRunner, _execute_spec, spec_key
+from repro.perf.runner import _execute_spec, spec_key
 from repro.sim.trace import to_chrome_trace
 from repro.supervisor import RetryPolicy, Supervisor, Task, load_journal
 from tests import chaos_helpers as ch
@@ -66,7 +66,7 @@ class TestWorkerCrash:
         """A worker crash must not corrupt or reorder the surrounding
         *real* simulation results."""
         specs = small_sweep()
-        baseline = SweepRunner(jobs=1).run_all(specs)
+        baseline = Supervisor(jobs=1).run_specs(specs)
         marker = str(tmp_path / "died")
         tasks = [
             Task(key=spec_key(s), fn=_execute_spec, payload=s, label=s.label)
@@ -88,15 +88,21 @@ class TestWorkerCrash:
         ]
         assert sup.report.respawns >= 1
 
-    def test_repeated_crashes_end_in_quarantine(self):
+    def test_repeated_crashes_end_in_quarantine(self, tmp_path):
         """A spec that kills its worker on *every* attempt is poison:
-        the supervisor must stop feeding it workers and move on."""
+        the supervisor must stop feeding it workers and move on.  The
+        barrier holds the bystander in flight whenever the killer
+        crashes beside it, so the bystander is collateral of every
+        shared-pool break — and must still never be charged for one."""
         tasks = [
             Task(
-                key="serial-killer", fn=ch.kill_self_always,
-                payload=None, label="serial-killer",
+                key="serial-killer", fn=ch.kill_self_with_bystander,
+                payload=(str(tmp_path), 1.0), label="serial-killer",
             ),
-            Task(key="bystander", fn=ch.ok, payload=5, label="bystander"),
+            Task(
+                key="bystander", fn=ch.bystander,
+                payload=(str(tmp_path), 1.0, 5), label="bystander",
+            ),
         ]
         sup = supervisor(jobs=2, policy=RetryPolicy(max_attempts=2, **FAST))
         results = sup.run_tasks(tasks, return_exceptions=True)

@@ -72,6 +72,14 @@ class TestPerfCli:
         assert main(argv + ["--jobs", "4"]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_faults_jobs_parity(self, capsys):
+        argv = ["faults", "--gpus", "2", "--iterations", "2",
+                "--mttf", "4", "2.5"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_tune_reports_cache_stats(self, capsys):
         argv = ["tune", "lenet", "--gpus", "2", "--microbatches", "2"]
         assert main(argv) == 0

@@ -26,9 +26,10 @@ from repro import BatchConfig, HarmonyConfig, HarmonySession, compare_runs
 from repro.errors import ReproError
 from repro.hardware import presets
 from repro.models import zoo
-from repro.perf import RunCache, RunSpec, SweepRunner, fingerprint
+from repro.perf import RunCache, RunSpec, fingerprint
 from repro.perf.fingerprint import SCHEDULER_VERSION, FingerprintError
 from repro.sim.trace import to_chrome_trace
+from repro.supervisor import Supervisor
 from repro.tuner.search import tune
 from repro.units import MB
 
@@ -199,9 +200,9 @@ class TestFreshVsCachedEquality:
         model, topo, config = small_workload()
         cache = RunCache()
         spec = RunSpec(model, topo, config)
-        runner = SweepRunner(jobs=1, cache=cache)
-        (fresh,) = runner.run_all([spec])
-        (cached,) = runner.run_all([spec])
+        runner = Supervisor(jobs=1, cache=cache)
+        (fresh,) = runner.run_specs([spec])
+        (cached,) = runner.run_specs([spec])
         assert cache.hits == 1
         assert cached.label == fresh.label
         assert cached.makespan == fresh.makespan
@@ -227,9 +228,9 @@ class TestFreshVsCachedEquality:
         model, topo, config = small_workload(scheme=scheme)
         cache = RunCache()
         spec = RunSpec(model, topo, config)
-        runner = SweepRunner(jobs=1, cache=cache)
-        (fresh,) = runner.run_all([spec])
-        (cached,) = runner.run_all([spec])
+        runner = Supervisor(jobs=1, cache=cache)
+        (fresh,) = runner.run_specs([spec])
+        (cached,) = runner.run_specs([spec])
         assert cache.hits == 1
         assert cached.makespan == fresh.makespan
         assert cached.devices == fresh.devices
@@ -237,6 +238,10 @@ class TestFreshVsCachedEquality:
 
 
 class TestSweepRunner:
+    """The sweep contract — results in spec order whatever ``jobs``,
+    domain errors in-slot, cache first — as
+    :meth:`Supervisor.run_specs` serves it."""
+
     def grid(self) -> list[RunSpec]:
         model = zoo.synthetic_uniform(num_layers=4)
         topo = presets.gtx1080ti_server(num_gpus=2)
@@ -252,8 +257,8 @@ class TestSweepRunner:
 
     def test_jobs4_matches_jobs1_tables_and_traces(self):
         specs = self.grid()
-        serial = SweepRunner(jobs=1).run_all(specs)
-        parallel = SweepRunner(jobs=4).run_all(specs)
+        serial = Supervisor(jobs=1).run_specs(specs)
+        parallel = Supervisor(jobs=4).run_specs(specs)
         assert [r.makespan for r in serial] == [r.makespan for r in parallel]
         assert (
             compare_runs(serial).render() == compare_runs(parallel).render()
@@ -269,28 +274,28 @@ class TestSweepRunner:
         tiny = tight_server(1, capacity=60 * MB)
         specs = self.grid()
         specs.insert(1, RunSpec(model, tiny, specs[0].config, label="doomed"))
-        outcomes = SweepRunner(jobs=2).run_all(specs, return_exceptions=True)
+        outcomes = Supervisor(jobs=2).run_specs(specs, return_exceptions=True)
         assert isinstance(outcomes[1], ReproError)
         assert all(
             not isinstance(o, ReproError)
             for i, o in enumerate(outcomes) if i != 1
         )
         with pytest.raises(ReproError):
-            SweepRunner(jobs=2).run_all(specs)
+            Supervisor(jobs=2).run_specs(specs)
 
     def test_warm_cache_serves_the_whole_sweep(self):
         specs = self.grid()
         cache = RunCache()
-        first = SweepRunner(jobs=1, cache=cache).run_all(specs)
+        first = Supervisor(jobs=1, cache=cache).run_specs(specs)
         stores = cache.stores
-        again = SweepRunner(jobs=4, cache=cache).run_all(specs)
+        again = Supervisor(jobs=4, cache=cache).run_specs(specs)
         assert cache.hits == len(specs)
         assert cache.stores == stores  # nothing re-simulated
         assert [r.makespan for r in again] == [r.makespan for r in first]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ReproError, match="jobs"):
-            SweepRunner(jobs=0)
+            Supervisor(jobs=0)
 
     def test_unexpected_worker_exception_comes_back_structured(
         self, monkeypatch

@@ -28,7 +28,7 @@ from repro import BatchConfig, HarmonyConfig
 from repro.errors import ConfigError, JournalError, PoisonedSpecError, ReproError
 from repro.hardware import presets
 from repro.models import zoo
-from repro.perf import RunCache, RunSpec, SweepRunner
+from repro.perf import RunCache, RunSpec
 from repro.sim.trace import to_chrome_trace
 from repro.supervisor import (
     DONE,
@@ -191,7 +191,7 @@ class TestSupervisorBasics:
 
     def test_run_specs_matches_sweeprunner(self):
         specs = small_sweep()
-        baseline = SweepRunner(jobs=1).run_all(specs)
+        baseline = Supervisor(jobs=1).run_specs(specs)
         supervised = supervisor(jobs=2).run_specs(specs)
         assert [chrome_json(r) for r in supervised] == [
             chrome_json(r) for r in baseline
@@ -305,7 +305,7 @@ class TestJournalReplay:
         uninterrupted run."""
         journal = str(tmp_path / "j.jsonl")
         specs = small_sweep()
-        uninterrupted = SweepRunner(jobs=1).run_all(specs)
+        uninterrupted = Supervisor(jobs=1).run_specs(specs)
 
         landed = []
 
@@ -399,3 +399,49 @@ class TestReport:
         sup = supervisor(jobs=3, journal=str(tmp_path / "j.jsonl"))
         text = sup.describe()
         assert "jobs=3" in text and "j.jsonl" in text
+
+
+class TestOnePool:
+    """The supervisor is the only pool owner, and spawns one only when
+    there is something to fan out or a journal/watchdog asks for it."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import concurrent.futures.process as cfp
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(cfp.ProcessPoolExecutor, "__init__", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "lenet", "--gpus", "2", "--microbatches", "2"],
+            ["figures"],
+            ["faults", "--gpus", "2", "--iterations", "2", "--mttf", "2.5"],
+            ["faults", "--gpus", "2", "--iterations", "2", "--recovery"],
+            ["tune", "lenet", "--gpus", "2", "--microbatches", "2"],
+        ],
+        ids=["compare", "figures", "faults", "faults-recovery", "tune"],
+    )
+    def test_plain_jobs1_commands_spawn_no_pool(self, no_pool, argv, capsys):
+        from repro.__main__ import main
+
+        assert main(argv) == 0
+        assert "supervisor:" not in capsys.readouterr().out
+
+    def test_single_pending_task_runs_inline(self, no_pool):
+        sup = Supervisor(jobs=4)
+        assert sup.run_tasks(ok_tasks(1)) == [2]
+        specs = small_sweep()
+        cache = RunCache()
+        Supervisor(jobs=1, cache=cache).run_specs(specs[1:])
+        # Every spec but one is a cache hit: one pending, no pool.
+        results = Supervisor(jobs=4, cache=cache).run_specs(specs)
+        assert all(r.makespan > 0 for r in results)
+
+    def test_journal_asks_for_a_pool_even_at_jobs1(self, no_pool, tmp_path):
+        sup = Supervisor(jobs=1, journal=str(tmp_path / "j.jsonl"))
+        with pytest.raises(AssertionError, match="process pool"):
+            sup.run_tasks(ok_tasks(1))
