@@ -32,35 +32,41 @@ class Direction(FastEnum):
 _HOST_DIRECTIONS = (Direction.SWAP_IN, Direction.SWAP_OUT)
 
 
+_Key = tuple[str, TensorKind, Direction]
+
+
 @dataclass
 class SwapStats:
-    """Ledger of all data movement in one simulated run."""
+    """Ledger of all data movement in one simulated run.
 
-    _volume: dict[tuple[str, TensorKind, Direction], float] = field(
+    Each ledger is a flat ``(device, kind, direction)``-keyed dict plus a
+    per-device index of its keys in first-insertion order.  A per-device
+    query walks only that device's keys, which are exactly the flat
+    dict's keys for the device in the flat dict's order, so its sum adds
+    the same values in the same order as a filtered scan of the whole
+    ledger — bitwise equal, at O(keys of one device) instead of
+    O(ledger).  Keys are never deleted; only :meth:`record` and
+    :meth:`restore` add them, and both maintain the index.
+    """
+
+    _volume: dict[_Key, float] = field(
         default_factory=lambda: defaultdict(float)
     )
-    _events: dict[tuple[str, TensorKind, Direction], int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
+    _events: dict[_Key, int] = field(default_factory=lambda: defaultdict(int))
     #: Bytes re-sent after transient transfer failures, ledgered
     #: separately: a retried attempt occupies the wire (and therefore
     #: *also* lands in ``_volume``, keeping trace<->ledger conservation
     #: exact), but this ledger isolates the waste for the fault report.
-    _retried: dict[tuple[str, TensorKind, Direction], float] = field(
+    _retried: dict[_Key, float] = field(
         default_factory=lambda: defaultdict(float)
     )
-    _retry_events: dict[tuple[str, TensorKind, Direction], int] = field(
+    _retry_events: dict[_Key, int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    #: Running device roster: every device that ever appeared in a
-    #: record.  Maintained incrementally so :meth:`devices` (called by
-    #: the validation layer per run) never rescans the whole ledger —
-    #: on wide fleets the ledger has O(devices x kinds x directions)
-    #: keys and the rescan was a per-call fleet-sized cost.  Code that
-    #: replaces the ledger wholesale (checkpoint restore) must rebuild
-    #: this set from the new keys; steady-state fast-forward only folds
-    #: existing keys, so the roster is untouched there.
-    _devices: set[str] = field(default_factory=set, repr=False)
+    #: device -> its ``_volume``/``_events`` keys, first-insertion order.
+    _keys: dict[str, list[_Key]] = field(default_factory=dict, repr=False)
+    #: device -> its ``_retried``/``_retry_events`` keys, likewise.
+    _retry_keys: dict[str, list[_Key]] = field(default_factory=dict, repr=False)
     #: When set (a list), every record also appends ``(key, nbytes)`` —
     #: the per-iteration delta capture behind steady-state fast-forward
     #: (see :mod:`repro.steady.cycle`), which must replay the exact
@@ -72,9 +78,10 @@ class SwapStats:
         self, device: str, kind: TensorKind, direction: Direction, nbytes: float
     ) -> None:
         key = (device, kind, direction)
+        if key not in self._volume:
+            self._keys.setdefault(device, []).append(key)
         self._volume[key] += nbytes
         self._events[key] += 1
-        self._devices.add(device)
         if self._journal is not None:
             self._journal.append((key, nbytes))
 
@@ -85,8 +92,40 @@ class SwapStats:
         again: counted in the main volume ledger (the wire really was
         occupied) *and* in the separate retry ledger."""
         self.record(device, kind, direction, nbytes)
-        self._retried[(device, kind, direction)] += nbytes
-        self._retry_events[(device, kind, direction)] += 1
+        key = (device, kind, direction)
+        if key not in self._retried:
+            self._retry_keys.setdefault(device, []).append(key)
+        self._retried[key] += nbytes
+        self._retry_events[key] += 1
+
+    def ledgers(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The four ledgers as item tuples in recording order — volume,
+        events, retried, retry events — for :meth:`restore`."""
+        return (
+            tuple(self._volume.items()),
+            tuple(self._events.items()),
+            tuple(self._retried.items()),
+            tuple(self._retry_events.items()),
+        )
+
+    def restore(
+        self, volume: tuple, events: tuple, retried: tuple, retry_events: tuple
+    ) -> None:
+        """Replace every ledger with :meth:`ledgers` output (a prefix
+        checkpoint's) and rebuild the per-device indexes from it."""
+        for ledger, index, items in (
+            (self._volume, self._keys, volume),
+            (self._retried, self._retry_keys, retried),
+        ):
+            ledger.clear()
+            ledger.update(items)
+            index.clear()
+            for key in ledger:
+                index.setdefault(key[0], []).append(key)
+        self._events.clear()
+        self._events.update(events)
+        self._retry_events.clear()
+        self._retry_events.update(retry_events)
 
     # -- aggregated views --------------------------------------------------
 
@@ -97,26 +136,7 @@ class SwapStats:
         direction: Direction | None = None,
     ) -> float:
         """Total bytes matching the given filters (None = any)."""
-        return sum(
-            v
-            for (d, k, dr), v in self._volume.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
-        )
-
-    def volume_by_device(self, direction: Direction) -> dict[str, float]:
-        """Per-device totals for one direction in a single ledger pass —
-        bitwise equal to calling :meth:`volume` once per device (each
-        per-device sum adds the same values in the same order), without
-        rescanning the ledger per device.  Devices with no matching
-        entries are absent."""
-        out: dict[str, float] = {}
-        get = out.get
-        for (d, _, dr), v in self._volume.items():
-            if dr == direction:
-                out[d] = get(d, 0) + v
-        return out
+        return sum(_matching(self._volume, self._keys, device, kind, direction))
 
     def events(
         self,
@@ -124,13 +144,7 @@ class SwapStats:
         kind: TensorKind | None = None,
         direction: Direction | None = None,
     ) -> int:
-        return sum(
-            c
-            for (d, k, dr), c in self._events.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
-        )
+        return sum(_matching(self._events, self._keys, device, kind, direction))
 
     def host_traffic(self, device: str | None = None) -> float:
         """Bytes crossing the device<->host boundary (both directions) —
@@ -159,9 +173,8 @@ class SwapStats:
         """Per-direction byte totals, optionally for one device — the
         breakdown the audit layer reconciles against the trace."""
         out: dict[Direction, float] = {d: 0.0 for d in Direction}
-        for (dev, _, dr), v in self._volume.items():
-            if device is None or dev == device:
-                out[dr] += v
+        for (_, _, dr), v in _items(self._volume, self._keys, device):
+            out[dr] += v
         return out
 
     def retried_volume(
@@ -173,11 +186,7 @@ class SwapStats:
         """Bytes wasted on failed transfer attempts (subset of
         :meth:`volume` — conservation checks include them)."""
         return sum(
-            v
-            for (d, k, dr), v in self._retried.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
+            _matching(self._retried, self._retry_keys, device, kind, direction)
         )
 
     def retry_events(
@@ -187,11 +196,7 @@ class SwapStats:
         direction: Direction | None = None,
     ) -> int:
         return sum(
-            c
-            for (d, k, dr), c in self._retry_events.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
+            _matching(self._retry_events, self._retry_keys, device, kind, direction)
         )
 
     def total_volume(self) -> float:
@@ -200,31 +205,45 @@ class SwapStats:
         return sum(self._volume.values())
 
     def devices(self) -> list[str]:
-        """Sorted roster of devices that moved any bytes — served from
-        the running :attr:`_devices` aggregate, not a ledger scan."""
-        return sorted(self._devices)
+        """Sorted roster of devices that moved any bytes — the keys of
+        the per-device index, not a ledger scan."""
+        return sorted(self._keys)
 
     def summary(self) -> str:
-        # One pass over each ledger instead of devices x directions
-        # filtered rescans.  Per-(device, direction) sums accumulate in
-        # ledger order, so each total adds the same values in the same
-        # order as a filtered volume() call would.
-        per_dir: dict[tuple[str, Direction], float] = {}
-        for (dev, _, dr), v in self._volume.items():
-            k = (dev, dr)
-            per_dir[k] = per_dir.get(k, 0.0) + v
-        per_retried: dict[str, float] = {}
-        for (dev, _, _), v in self._retried.items():
-            per_retried[dev] = per_retried.get(dev, 0.0) + v
         lines = ["swap stats (GB):"]
         for device in self.devices():
-            parts = []
-            for direction in Direction:
-                vol = per_dir.get((device, direction), 0.0)
-                if vol:
-                    parts.append(f"{direction.value}={vol / GB:.2f}")
-            retried = per_retried.get(device, 0.0)
+            per_dir = self.direction_volumes(device)
+            parts = [
+                f"{direction.value}={per_dir[direction] / GB:.2f}"
+                for direction in Direction
+                if per_dir[direction]
+            ]
+            retried = self.retried_volume(device)
             if retried:
                 parts.append(f"retried={retried / GB:.2f}")
             lines.append(f"  {device}: " + (", ".join(parts) or "none"))
         return "\n".join(lines)
+
+
+def _items(ledger: dict, index: dict[str, list[_Key]], device: str | None):
+    """``ledger``'s items in recording order: all of them, or through
+    the per-device index only ``device``'s."""
+    if device is None:
+        return ledger.items()
+    return ((key, ledger[key]) for key in index.get(device, ()))
+
+
+def _matching(
+    ledger: dict,
+    index: dict[str, list[_Key]],
+    device: str | None,
+    kind: TensorKind | None,
+    direction: Direction | None,
+):
+    """Values of ``ledger`` matching the filters (None = any), in
+    recording order."""
+    return (
+        v
+        for (_, k, dr), v in _items(ledger, index, device)
+        if (kind is None or k == kind) and (direction is None or dr == direction)
+    )

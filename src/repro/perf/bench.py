@@ -16,9 +16,10 @@ on two 550 MB GPUs, harmony-pp, 2 microbatches) and a scaled variant
   prefix-restored per-probe wall time, with byte-identity *asserted*
   (makespan, Chrome trace, swap ledger) and the per-probe speedup
   gated (3x full mode);
-* **fleet scale** — events/sec at 64/256/1024 simulated devices
+* **fleet scale** — events/sec at 64/256/1024/2048 simulated devices
   (harmony-dp, small fixed per-replica workload), the scaling figure
-  behind the live loop's targeted wake-up;
+  behind the live loop's targeted wake-up, plus the wall time of
+  auditing one run at each size;
 * **parallel-sweep scaling** — a small scheme x microbatch grid run
   serially and through a :class:`~repro.supervisor.Supervisor` with
   ``--jobs N``;
@@ -62,6 +63,7 @@ from repro.perf.runner import RunSpec
 from repro.schedulers.base import BatchConfig
 from repro.supervisor import Supervisor, Task
 from repro.units import MB, TFLOP
+from repro.validate import audit_run
 
 SCHEMA = 1
 
@@ -366,14 +368,17 @@ def _time_fleet(quick: bool) -> dict:
         # Planning produces no events, so it is timed separately: the
         # per-event figure covers the event-processing phase only, and
         # plan_sec keeps a planner blowup visible in its own column.
-        # The collect() ahead of each block frees the previous run's
-        # dead object graph so the timed allocation storm reuses warm
-        # arenas instead of growing the heap across fragmented ones —
-        # at 2048 devices that alone is worth ~20% of events/sec.
+        # A finished run is freed by reference counting as soon as its
+        # result is dropped; the collect() ahead of each block only
+        # clears what the surrounding harness left for the collector,
+        # so every block starts from the same heap.
+        # The audit of one run (outside the timed block) is timed into
+        # audit_sec, best of the three blocks like the run itself.
         block = max(1, 512 // num_gpus)
         HarmonySession(model, topology, config).run()
         best_run = float("inf")
         best_plan = 0.0
+        best_audit = float("inf")
         for _ in range(3):
             gc.collect()
             plan_wall = 0.0
@@ -386,6 +391,9 @@ def _time_fleet(quick: bool) -> dict:
                 result = session.run()
                 plan_wall += t1 - t0
                 run_wall += time.perf_counter() - t1
+            t2 = time.perf_counter()
+            audit_run(result, topology, session.plan()).raise_if_failed()
+            best_audit = min(best_audit, time.perf_counter() - t2)
             if run_wall < best_run:
                 best_run = run_wall
                 best_plan = plan_wall
@@ -395,6 +403,7 @@ def _time_fleet(quick: bool) -> dict:
                 "devices": num_gpus,
                 "wall_sec": best_run,
                 "plan_sec": best_plan,
+                "audit_sec": best_audit,
                 "runs_per_block": block,
                 "events": events,
                 "events_per_sec": events / best_run if best_run > 0 else 0.0,
@@ -663,11 +672,13 @@ def render(report: dict) -> str:
         for point in fleet["points"]:
             plan_sec = point.get("plan_sec")
             plan = f"  plan {plan_sec * 1e3:8.1f} ms" if plan_sec else ""
+            audit_sec = point.get("audit_sec")
+            audit = f"  audit {audit_sec * 1e3:8.1f} ms" if audit_sec else ""
             lines.append(
                 f"  {point['devices']:>5} devices "
                 f"{point['wall_sec'] * 1e3:10.1f} ms   "
                 f"{point['events_per_sec']:>12,.0f} events/s   "
-                f"({point['events']:,} events){plan}"
+                f"({point['events']:,} events){plan}{audit}"
             )
     sweep = cur["sweep"]
     lines += [
@@ -854,6 +865,20 @@ def check_regression(
                 f"(floor {100 * ratio_floor:.0f}%): {ratio_verdict}"
             )
             failed = failed or ratio < ratio_floor
+        # Audit-cost gate, self-relative too: auditing one run of the
+        # largest fleet must take no longer than simulating it.  The
+        # audit is O(events + ledger) like the run; a per-device rescan
+        # of the ledger made it quadratic, 2x the run at 2048 devices.
+        audit_sec = largest.get("audit_sec")
+        if audit_sec is not None:
+            run_sec = largest["wall_sec"] / largest["runs_per_block"]
+            audit_verdict = "ok" if audit_sec <= run_sec else "REGRESSION"
+            print(
+                f"bench check: fleet {largest['devices']} devices audit "
+                f"{audit_sec * 1e3:,.1f} ms vs run {run_sec * 1e3:,.1f} ms "
+                f"(ceiling: the run): {audit_verdict}"
+            )
+            failed = failed or audit_sec > run_sec
 
     recovery = report["current"].get("recovery")
     if recovery is not None:

@@ -43,7 +43,11 @@ from repro.models.graph import ModelGraph
 #: 2026.08-pr6: scheduler zoo — pipedream-1f1b and dapple joined the
 #: registry, and every RunResult now carries per-device peak
 #: activation-class residency (``DeviceReport.peak_activation``).
-SCHEDULER_VERSION = "2026.08-pr6"
+#: 2026.10-ledger-index: the values are unchanged, but a pickled
+#: ``SwapStats`` now carries a per-device key index in place of the
+#: device roster, so results cached under an older layout would load
+#: without the index their queries read.
+SCHEDULER_VERSION = "2026.10-ledger-index"
 
 
 class FingerprintError(ReproError):

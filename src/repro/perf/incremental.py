@@ -118,10 +118,10 @@ def capture_snapshot(
             "segments are not resumable; donors stop capturing at detection)"
         )
     manager = ex.manager
-    stats = ex.stats
+    volume, events, retried, retry_events = ex.stats.ledgers()
     return Snapshot(
         iteration=iteration,
-        epoch=ex._epoch,
+        epoch=ex.clock.epoch,
         samples=ex._samples,
         events_processed=ex.engine.events_processed,
         trace_events=tuple(ex.trace.events),
@@ -144,10 +144,10 @@ def capture_snapshot(
         ),
         activation_resident=tuple(manager.activation_resident.items()),
         activation_peak=tuple(manager.activation_peak.items()),
-        stats_volume=tuple(stats._volume.items()),
-        stats_events=tuple(stats._events.items()),
-        stats_retried=tuple(stats._retried.items()),
-        stats_retry_events=tuple(stats._retry_events.items()),
+        stats_volume=volume,
+        stats_events=events,
+        stats_retried=retried,
+        stats_retry_events=retry_events,
         prev_fp=prev_fp,
         fp=fp,
         ledger=ledger,
@@ -199,25 +199,16 @@ def install_snapshot(ex: "Executor", snap: Snapshot) -> None:
         manager.usage_log[dev] = list(log)
     manager.activation_resident = dict(snap.activation_resident)
     manager.activation_peak = dict(snap.activation_peak)
-    stats = ex.stats
-    stats._volume.clear()
-    stats._volume.update(snap.stats_volume)
-    stats._events.clear()
-    stats._events.update(snap.stats_events)
-    stats._retried.clear()
-    stats._retried.update(snap.stats_retried)
-    stats._retry_events.clear()
-    stats._retry_events.update(snap.stats_retry_events)
-    # The ledger was replaced wholesale; rebuild the running device
-    # roster that record() normally maintains incrementally.
-    stats._devices.clear()
-    stats._devices.update(d for (d, _, _) in stats._volume)
+    ex.stats.restore(
+        snap.stats_volume, snap.stats_events, snap.stats_retried,
+        snap.stats_retry_events,
+    )
     timelines = {tl.name: tl for tl in ex._all_timelines}
     for name, busy_seconds in snap.busy:
         timelines[name].busy_seconds = busy_seconds
     ex.trace.events[:] = snap.trace_events
     ex.engine.events_processed = snap.events_processed
-    ex._epoch = snap.epoch
+    ex.clock.epoch = snap.epoch
     ex._samples = snap.samples
 
 

@@ -32,6 +32,46 @@ _CATEGORY = {
 }
 
 
+class _Chain:
+    """One memory-op chain in flight.
+
+    Synchronous ops (waits that need no wait, allocations, drops,
+    satisfied transfers) are consumed in a loop rather than through
+    continuation recursion — most ops in a chain complete instantly,
+    and the loop spends one iteration where the recursive form spent
+    three frames.  An asynchronous op resumes the chain through
+    :meth:`step`, a bound method of this slotted object rather than a
+    closure that refers to itself, so a finished chain (its ops and its
+    ``done`` continuation) is freed by reference counting alone.
+    ``step`` may re-enter itself through a nested substitute chain; the
+    shared cursor keeps every op exactly-once.
+    """
+
+    __slots__ = ("ops", "cursor", "execute", "done")
+
+    def __init__(
+        self,
+        ops: Sequence[MemOp],
+        execute: Callable[[MemOp, Callable[[], None]], bool],
+        done: Callable[[], None],
+    ):
+        self.ops = ops
+        self.cursor = 0
+        self.execute = execute
+        self.done = done
+
+    def step(self) -> None:
+        ops = self.ops
+        n = len(ops)
+        execute = self.execute
+        while self.cursor < n:
+            op = ops[self.cursor]
+            self.cursor += 1
+            if not execute(op, self.step):
+                return  # async: step re-runs when the op completes
+        self.done()
+
+
 class TransferEngine:
     """Executes memory-op chains, one op at a time, over shared links.
 
@@ -106,29 +146,8 @@ class TransferEngine:
     # -- execution -------------------------------------------------------------
 
     def execute_chain(self, ops: Sequence[MemOp], done: Callable[[], None]) -> None:
-        """Run ``ops`` strictly in order, then call ``done``.
-
-        Synchronous ops (waits that need no wait, allocations, drops,
-        satisfied transfers) are consumed in a loop rather than through
-        continuation recursion — most ops in a chain complete instantly,
-        and the loop spends one iteration where the recursive form spent
-        three frames.  ``step`` may re-enter itself through a nested
-        substitute chain; the shared cursor keeps every op exactly-once.
-        """
-        n = len(ops)
-        cursor = 0
-        execute = self._execute_op
-
-        def step() -> None:
-            nonlocal cursor
-            while cursor < n:
-                op = ops[cursor]
-                cursor += 1
-                if not execute(op, step):
-                    return  # async: step re-runs when the op completes
-            done()
-
-        step()
+        """Run ``ops`` strictly in order, then call ``done``."""
+        _Chain(ops, self._execute_op, done).step()
 
     def execute_op(self, op: MemOp, done: Callable[[], None]) -> None:
         """Run one op; ``done`` fires when it completes (possibly now)."""

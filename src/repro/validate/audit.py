@@ -18,9 +18,11 @@ from typing import TYPE_CHECKING
 from repro.hardware.topology import Topology
 from repro.sim.plan import Plan
 from repro.sim.result import RunResult
+from repro.util.gcpause import paused_gc
 from repro.validate.invariants import (
     _BYTE_TOL,
     _TIME_TOL,
+    TraceIndex,
     _close,
     check_compute_events,
     check_compute_exclusivity,
@@ -71,23 +73,32 @@ def audit_run(
 
         result = replace(result, trace=result.trace.expanded())
     report = AuditReport(label=result.label)
-    checks = [
-        ("event_sanity", lambda: check_event_sanity(result, topology)),
-        ("compute_exclusivity", lambda: check_compute_exclusivity(result)),
-        ("memory_profile", lambda: check_memory_profile(result)),
-        ("conservation", lambda: check_conservation(result)),
-        ("retry_ledger", lambda: check_retry_ledger(result)),
-        ("dependency_order", lambda: check_dependency_order(result, plan)),
-    ]
-    if not partial:
-        checks += [
-            ("link_feasibility", lambda: check_link_feasibility(result, topology)),
-            ("task_coverage", lambda: check_task_coverage(result, plan, iterations)),
-            ("samples", lambda: check_samples(result, plan, iterations)),
+    # Paused GC as around plan and run: the checks allocate O(events)
+    # acyclic records, and collector passes would rescan the run's
+    # whole live graph many times over.
+    with paused_gc():
+        index = TraceIndex(result.trace.events)
+        checks = [
+            ("event_sanity", check_event_sanity, (result, topology)),
+            ("compute_exclusivity", check_compute_exclusivity, (result,)),
+            ("memory_profile", check_memory_profile, (result,)),
+            ("conservation", check_conservation, (result, index)),
+            ("retry_ledger", check_retry_ledger, (result,)),
+            ("dependency_order", check_dependency_order, (result, plan, index)),
         ]
-    for name, run_check in checks:
-        report.checks.append(name)
-        report.extend(run_check())
+        if not partial:
+            checks += [
+                ("link_feasibility", check_link_feasibility, (result, topology)),
+                (
+                    "task_coverage",
+                    check_task_coverage,
+                    (result, plan, iterations, index),
+                ),
+                ("samples", check_samples, (result, plan, iterations)),
+            ]
+        for name, check, args in checks:
+            report.checks.append(name)
+            report.extend(check(*args))
     return report
 
 

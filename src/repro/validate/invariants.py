@@ -16,6 +16,8 @@ comparison uses a relative-plus-absolute slack (``_TIME_TOL`` seconds,
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
+from typing import Iterable
 
 from repro.hardware.topology import Topology
 from repro.memory.stats import Direction
@@ -36,6 +38,36 @@ def _close(a: float, b: float, abs_tol: float) -> bool:
 
 def _leq(a: float, b: float, abs_tol: float) -> bool:
     return a <= b + abs_tol + _REL_TOL * max(abs(a), abs(b))
+
+
+_WINDOW = attrgetter("start", "end")
+
+
+class TraceIndex:
+    """One audit's view of a trace, built in a single pass.
+
+    ``bytes`` maps ``(device, category)`` to the traced byte sum;
+    ``by_label`` maps a task label to its compute/allreduce events,
+    sorted by ``(start, end)``.  The lists hold the trace's own event
+    objects, never copies, and the index lives only as long as the
+    audit that built it, so checks share one O(events) pass instead of
+    each rescanning the trace.
+    """
+
+    __slots__ = ("bytes", "by_label")
+
+    def __init__(self, events: Iterable[TraceEvent]):
+        nbytes: dict[tuple[str, str], float] = defaultdict(float)
+        by_label: dict[str, list[TraceEvent]] = defaultdict(list)
+        for event in events:
+            category = event.category
+            nbytes[(event.device, category)] += event.nbytes
+            if category == "compute" or category == "allreduce":
+                by_label[event.label].append(event)
+        for group in by_label.values():
+            group.sort(key=_WINDOW)
+        self.bytes = dict(nbytes)
+        self.by_label = dict(by_label)
 
 
 # -- (0) event sanity ---------------------------------------------------------
@@ -97,7 +129,7 @@ def check_compute_events(events: list[TraceEvent]) -> list[AuditViolation]:
         if event.category in ("compute", "allreduce"):
             per_device[event.device].append(event)
     for device, events in sorted(per_device.items()):
-        events.sort(key=lambda e: (e.start, e.end))
+        events.sort(key=_WINDOW)
         for prev, cur in zip(events, events[1:]):
             if cur.start < prev.end - _TIME_TOL:
                 violations.append(
@@ -241,7 +273,9 @@ def check_memory_profile(result: RunResult) -> list[AuditViolation]:
 # -- (d) conservation ---------------------------------------------------------
 
 
-def check_conservation(result: RunResult) -> list[AuditViolation]:
+def check_conservation(
+    result: RunResult, index: TraceIndex | None = None
+) -> list[AuditViolation]:
     """Every byte the stats ledger claims moved appears in the trace,
     and the per-device :class:`DeviceReport` counters reconcile with
     the ledger.
@@ -257,20 +291,23 @@ def check_conservation(result: RunResult) -> list[AuditViolation]:
       ledger.
     """
     violations: list[AuditViolation] = []
-    trace_bytes: dict[tuple[str, str], float] = defaultdict(float)
-    for event in result.trace.events:
-        trace_bytes[(event.device, event.category)] += event.nbytes
+    if index is None:
+        index = TraceIndex(result.trace.events)
+    trace_bytes = index.bytes
+
+    def on(device: str, category: str) -> float:
+        return trace_bytes.get((device, category), 0.0)
 
     stats_devices = set(result.stats.devices())
     trace_devices = {d for d, _ in trace_bytes}
     for device in sorted(stats_devices | trace_devices):
         by_direction = result.stats.direction_volumes(device)
         pairs = [
-            (Direction.SWAP_IN, trace_bytes[(device, "swap_in")], "swap-in"),
-            (Direction.SWAP_OUT, trace_bytes[(device, "swap_out")], "swap-out"),
+            (Direction.SWAP_IN, on(device, "swap_in"), "swap-in"),
+            (Direction.SWAP_OUT, on(device, "swap_out"), "swap-out"),
             (
                 Direction.P2P_IN,
-                trace_bytes[(device, "p2p")] + trace_bytes[(device, "allreduce")],
+                on(device, "p2p") + on(device, "allreduce"),
                 "p2p+allreduce",
             ),
         ]
@@ -361,17 +398,9 @@ def check_retry_ledger(result: RunResult) -> list[AuditViolation]:
 # -- (e) dependency order -----------------------------------------------------
 
 
-def _events_by_label(result: RunResult) -> dict[str, list[TraceEvent]]:
-    grouped: dict[str, list[TraceEvent]] = defaultdict(list)
-    for event in result.trace.events:
-        if event.category in ("compute", "allreduce"):
-            grouped[event.label].append(event)
-    for events in grouped.values():
-        events.sort(key=lambda e: (e.start, e.end))
-    return grouped
-
-
-def check_dependency_order(result: RunResult, plan: Plan) -> list[AuditViolation]:
+def check_dependency_order(
+    result: RunResult, plan: Plan, index: TraceIndex | None = None
+) -> list[AuditViolation]:
     """The trace respects the task graph: occurrence ``i`` of a task
     starts no earlier than occurrence ``i`` of each dependency ends
     (iteration ``i`` of a replayed plan must re-satisfy every edge).
@@ -381,7 +410,9 @@ def check_dependency_order(result: RunResult, plan: Plan) -> list[AuditViolation
     share start/end), so the per-participant copies collapse.
     """
     violations: list[AuditViolation] = []
-    grouped = _events_by_label(result)
+    if index is None:
+        index = TraceIndex(result.trace.events)
+    grouped = index.by_label
 
     def occurrences(task) -> list[TraceEvent]:
         events = grouped.get(task.label, [])
@@ -419,14 +450,19 @@ def check_dependency_order(result: RunResult, plan: Plan) -> list[AuditViolation
 
 
 def check_task_coverage(
-    result: RunResult, plan: Plan, iterations: int = 1
+    result: RunResult,
+    plan: Plan,
+    iterations: int = 1,
+    index: TraceIndex | None = None,
 ) -> list[AuditViolation]:
     """Every task in the plan ran the expected number of times: compute
     tasks once per iteration, allreduce tasks once per participant per
     iteration (zero-duration compute is still traced; zero-duration
     collectives are tolerated as absent)."""
     violations: list[AuditViolation] = []
-    grouped = _events_by_label(result)
+    if index is None:
+        index = TraceIndex(result.trace.events)
+    grouped = index.by_label
     for task in plan.graph:
         count = len(grouped.get(task.label, []))
         if task.kind is TaskKind.COMPUTE:

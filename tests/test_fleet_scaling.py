@@ -312,7 +312,9 @@ class TestStatsRunningAggregates:
         stats.record("a", TensorKind.WEIGHT, Direction.SWAP_IN, 5.0)
         stats.record("a", TensorKind.ACTIVATION, Direction.DROP, 1.0)
         assert stats.devices() == ["a", "b"]
-        assert stats._devices == {"a", "b"}
+        # Repeat records on known keys leave the roster as it is.
+        stats.record("b", TensorKind.WEIGHT, Direction.SWAP_OUT, 10.0)
+        assert stats.devices() == ["a", "b"]
 
     def test_summary_single_pass_matches_filtered_volume(self):
         from repro.memory.stats import Direction, SwapStats

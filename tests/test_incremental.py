@@ -324,11 +324,12 @@ class TestSlots:
         from repro.memory.allocator import DevicePool
         from repro.memory.manager import MemOp
         from repro.sim.engine import Engine, ResourceTimeline
-        from repro.sim.executor import _DeviceState
+        from repro.sim.executor import _Clock, _DeviceState
+        from repro.sim.transfer import _Chain
         from repro.tensors.state import TensorRuntime
 
         for cls in (DevicePool, MemOp, Engine, ResourceTimeline,
-                    TensorRuntime, _DeviceState):
+                    TensorRuntime, _DeviceState, _Chain, _Clock):
             for klass in cls.__mro__[:-1]:  # everything below object
                 assert "__slots__" in vars(klass), (
                     f"{cls.__name__}: {klass.__name__} lacks __slots__"
